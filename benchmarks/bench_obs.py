@@ -52,7 +52,7 @@ def _run_campaign(world) -> tuple[float, object]:
 
 
 def _result_bytes(result, workdir: pathlib.Path, tag: str) -> bytes:
-    path = workdir / f"{tag}.json"
+    path = workdir / f"{tag}.npz"
     save_result(result, str(path))
     return path.read_bytes()
 

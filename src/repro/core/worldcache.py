@@ -29,13 +29,10 @@ request order), so skipping the builder cannot perturb them, and a
 restored world's campaign output is byte-identical to a fresh build's
 (asserted in ``tests/test_worldcache.py``).
 
-Snapshots are deterministic at the byte level — capturing the same state
-twice yields identical files (``np.savez`` writes members in a fixed
-order with constant timestamps) — and are written atomically (tmp +
-``os.replace``), so concurrent sweep workers racing on one key are safe.
-Loads memory-map every member (``np.savez`` stores them uncompressed, so
-each payload is a contiguous byte range of the archive), which keeps the
-per-worker resident cost of the fabric and grid near zero.  Unreadable,
+Snapshots are byte-deterministic and written atomically, so concurrent
+sweep workers racing on one key are safe; loads memory-map every member
+(both via :mod:`repro.util.npz`), which keeps the per-worker resident
+cost of the fabric and grid near zero.  Unreadable,
 truncated, version-bumped or key-mismatched files are treated as cache
 misses, never errors: the caller rebuilds and overwrites.
 """
@@ -45,9 +42,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import struct
-import tempfile
-import zipfile
 from hashlib import blake2b
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -61,6 +55,7 @@ from repro.topology.builder import Topology
 from repro.topology.facilities import IXP, Facility
 from repro.topology.graph import ASGraph, Relationship
 from repro.topology.types import ASType, AutonomousSystem
+from repro.util.npz import mmap_npz, write_npz_atomic
 
 if TYPE_CHECKING:
     from repro.world import World, WorldConfig
@@ -389,53 +384,6 @@ class WorldSnapshot:
 # --------------------------------------------------------------- the cache
 
 
-def _mmap_npz(path: str) -> dict[str, np.ndarray]:
-    """Map every member of an uncompressed ``.npz`` without copying.
-
-    Same technique as the service cluster's snapshot loader: ``np.savez``
-    stores members ``ZIP_STORED``, so each ``.npy`` payload is a
-    contiguous byte range of the archive — parse the zip local header for
-    the data offset, the npy header for dtype/shape, and ``np.memmap``
-    the rest.  Raises on anything unexpected; the caller treats that as
-    a cache miss.
-    """
-    members: dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as archive, open(path, "rb") as raw:
-        for info in archive.infolist():
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise WorldCacheError(f"member {info.filename} is compressed")
-            raw.seek(info.header_offset)
-            local = raw.read(30)
-            if local[:4] != b"PK\x03\x04":
-                raise WorldCacheError(f"bad local header for {info.filename}")
-            name_len, extra_len = struct.unpack("<HH", local[26:30])
-            raw.seek(info.header_offset + 30 + name_len + extra_len)
-            version = np.lib.format.read_magic(raw)
-            if version == (1, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_1_0(raw)
-            elif version == (2, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_2_0(raw)
-            else:
-                raise WorldCacheError(f"unsupported npy version {version}")
-            if dtype.hasobject:
-                raise WorldCacheError(f"member {info.filename} holds objects")
-            name = info.filename
-            if name.endswith(".npy"):
-                name = name[:-4]
-            if int(np.prod(shape)) == 0:
-                members[name] = np.zeros(shape, dtype)
-            else:
-                members[name] = np.memmap(
-                    path,
-                    dtype=dtype,
-                    mode="r",
-                    offset=raw.tell(),
-                    shape=shape,
-                    order="F" if fortran else "C",
-                )
-    return members
-
-
 class WorldCache:
     """An on-disk directory of world snapshots keyed by (config, seed).
 
@@ -459,7 +407,7 @@ class WorldCache:
     def _load(self, seed: int, config: "WorldConfig") -> WorldSnapshot | None:
         path = self.path_for(seed, config)
         try:
-            arrays = _mmap_npz(os.fspath(path))
+            arrays = mmap_npz(os.fspath(path))
             meta = json.loads(str(arrays["meta"][0]))
             if meta["snapshot_version"] != SNAPSHOT_VERSION:
                 return None
@@ -497,25 +445,7 @@ class WorldCache:
     def _store(self, world: "World") -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(world.seed, world.config)
-        arrays = capture_arrays(world)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=path.stem + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, **arrays)
-            # mkstemp files are 0600; open the snapshot up to the umask's
-            # default so a shared cache directory works across users
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_npz_atomic(path, capture_arrays(world))
         return path
 
 

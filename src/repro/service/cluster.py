@@ -53,10 +53,8 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import shutil
-import struct
 import tempfile
 import time
-import zipfile
 from queue import Empty
 from typing import IO, Any
 
@@ -78,6 +76,7 @@ from repro.service.directory import (
 )
 from repro.service.results import DegradationCounters, RouteAnswer, RouteBatch
 from repro.service.service import ShortcutService
+from repro.util.npz import mmap_npz
 
 __all__ = [
     "CLUSTER_SNAPSHOT_VERSION",
@@ -257,52 +256,6 @@ def save_cluster_snapshot(
     np.savez(file, **arrays)
 
 
-def _mmap_npz(path: str) -> dict[str, np.ndarray]:
-    """Map every member of an uncompressed ``.npz`` without copying.
-
-    ``np.savez`` stores members ``ZIP_STORED``, so each ``.npy`` payload
-    is a contiguous byte range of the archive: parse the zip local file
-    header for the data offset, the npy header for dtype/shape, and
-    ``np.memmap`` the rest.  Raises on compressed or exotic members; the
-    caller falls back to an eager ``np.load``.
-    """
-    members: dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as archive, open(path, "rb") as raw:
-        for info in archive.infolist():
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise ServiceError(f"member {info.filename} is compressed")
-            raw.seek(info.header_offset)
-            local = raw.read(30)
-            if local[:4] != b"PK\x03\x04":
-                raise ServiceError(f"bad local header for {info.filename}")
-            name_len, extra_len = struct.unpack("<HH", local[26:30])
-            raw.seek(info.header_offset + 30 + name_len + extra_len)
-            version = np.lib.format.read_magic(raw)
-            if version == (1, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_1_0(raw)
-            elif version == (2, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_2_0(raw)
-            else:
-                raise ServiceError(f"unsupported npy version {version}")
-            if dtype.hasobject:
-                raise ServiceError(f"member {info.filename} holds objects")
-            name = info.filename
-            if name.endswith(".npy"):
-                name = name[:-4]
-            if int(np.prod(shape)) == 0:
-                members[name] = np.zeros(shape, dtype)
-            else:
-                members[name] = np.memmap(
-                    path,
-                    dtype=dtype,
-                    mode="r",
-                    offset=raw.tell(),
-                    shape=shape,
-                    order="F" if fortran else "C",
-                )
-    return members
-
-
 class ClusterSnapshot:
     """A parsed v3 snapshot: identity arrays plus per-shard segments.
 
@@ -425,7 +378,7 @@ def load_cluster_snapshot(
     """
     if mmap and isinstance(file, (str, os.PathLike)):
         try:
-            return ClusterSnapshot(_mmap_npz(os.fspath(file)))
+            return ClusterSnapshot(mmap_npz(os.fspath(file)))
         except (ServiceError, OSError, ValueError):
             pass  # compressed / exotic member: fall back to eager load
     with np.load(file) as data:

@@ -23,7 +23,8 @@ import pytest
 
 from repro import CampaignConfig, MeasurementCampaign, obs
 from repro.cli import main
-from repro.core.io import save_result
+from repro.core.io import load_result, save_result
+from repro.core.results import CampaignResult, RelayRegistry
 from repro.obs import MetricsRegistry, NullHandle, SpanTracer, summarize_metrics
 from repro.obs.metrics import NULL_HANDLE
 from repro.obs.profile import profile_to, profile_worker_job
@@ -116,6 +117,14 @@ class TestEnabledDeterminism:
         round_timing = artifact["timings"]["campaign.round"]
         assert round_timing["count"] == 1
         assert round_timing["total_ms"] >= round_timing["min_ms"]
+
+    def test_result_io_spans(self, tmp_path, obs_on):
+        path = tmp_path / "empty.npz"
+        save_result(CampaignResult(rounds=[], registry=RelayRegistry()), path)
+        load_result(path)
+        timings = obs.metrics_registry().as_artifact()["timings"]
+        assert timings["io.save_result"]["count"] == 1
+        assert timings["io.load_result"]["count"] == 1
 
 
 class TestMetricsRegistry:
@@ -278,9 +287,13 @@ class TestSummarizeAndCli:
         capsys.readouterr()
         artifact = json.loads(metrics.read_text())
         assert artifact["structural"]["counters"]["campaign.rounds"] == 1
+        assert artifact["timings"]["io.save_result"]["count"] == 1
         events = json.loads(trace.read_text())["traceEvents"]
         assert any(e.get("name") == "campaign.round" for e in events)
+        assert any(e.get("name") == "io.save_result" for e in events)
         assert not obs.active()  # the CLI restored the null recorders
+        assert main(["metrics", "summarize", str(metrics)]) == 0
+        assert "io.save_result" in capsys.readouterr().out
 
     def test_cli_campaign_profile(self, tmp_path, capsys):
         out = tmp_path / "p.prof"
