@@ -4,7 +4,7 @@ Times the online side of the system on the tiny serving workload (the
 same 8-country, 3-round history ``repro serve-bench`` defaults to):
 directory compilation from the campaign result, one incremental round
 ingest, the ``.npz`` snapshot round-trip, a Zipf-shaped traffic replay
-measuring sustained batched queries/sec, and the sharded multi-process
+measuring sustained batched queries/sec, and the multi-process
 cluster (1 vs 2 workers, scored on CPU-clock critical paths — see
 ``benchmarks/README.md`` for why wall clocks cannot measure scale-out on
 shared-core CI hosts).  Writes ``BENCH_service.json`` at the repo root so
@@ -33,7 +33,6 @@ if importlib.util.find_spec("repro") is None:  # bare checkout: src layout
 
 from repro import CampaignConfig, MeasurementCampaign, build_world
 from repro.service import (
-    NUM_SHARDS,
     ClusterService,
     LoadgenConfig,
     ShortcutService,
@@ -133,7 +132,7 @@ def run_bench() -> dict:
         "counters": live_best.degradation,
     }
 
-    # sharded multi-process cluster: the same stream against 1 worker and
+    # multi-process cluster: the same stream against 1 worker and
     # 2 workers, scored on CPU-clock critical paths (front CPU + slowest
     # worker's busy clock), so the scale-out is measurable on a single
     # shared core.  The legs' repeats are interleaved and scored on the
@@ -171,7 +170,6 @@ def run_bench() -> dict:
     agg_2 = cluster_legs[2]["aggregate_queries_per_s"]
     speedup = round(agg_2 / agg_1, 3)
     cluster_report = {
-        "num_shards": NUM_SHARDS,
         "batch_size": CLUSTER_BATCH_SIZE,
         "protocol": (
             f"{CLUSTER_REPEATS} interleaved replays per worker count, "

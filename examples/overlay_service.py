@@ -11,9 +11,10 @@ using the online serving layer (:mod:`repro.service`):
    fallback tiers, then ingest the new round incrementally;
 4. snapshot the service to ``.npz`` and restore it (operator restart);
 5. replay Zipf-shaped synthetic traffic to measure serving throughput;
-6. shard the directory and serve it from worker processes
-   (:class:`~repro.service.ClusterService`), checking the cluster answers
-   byte-identically to the in-process service.
+6. serve the directory from worker processes, each answering a row
+   slice of every batch (:class:`~repro.service.ClusterService`),
+   checking the cluster answers byte-identically to the in-process
+   service.
 
 Run:  python examples/overlay_service.py
 """
@@ -90,14 +91,15 @@ def main() -> None:
           f"(pair {tiers['pair']}, country {tiers['country']}, "
           f"direct {tiers['direct']})")
 
-    # scale out: shard the snapshot and serve it from 2 worker processes
-    # over a shared read-only mmap; same stream, byte-identical answers
+    # scale out: serve the snapshot from 2 worker processes over a shared
+    # read-only mmap, each answering half of every batch; same stream,
+    # byte-identical answers
     with ClusterService.from_service(restored, workers=2) as cluster:
         scaled = replay(cluster, config)
     scale = scaled.scale_out
     same = scaled.answers_digest == load.answers_digest
     print(f"2-worker cluster: {scale['aggregate_queries_per_s']:,.0f} queries/s "
-          f"aggregate (CPU-clock) over {scale['num_shards']} shards; "
+          f"aggregate (CPU-clock) over {scale['workers']} workers; "
           f"answers {'identical' if same else 'MISMATCH'}")
 
 

@@ -442,27 +442,22 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     )
     stats = replay(service, config)
 
-    # sharded multi-process serving: replay the same stream against a
+    # multi-process serving: replay the same stream against a
     # 1-worker cluster and an N-worker cluster and score the scale-out
     # on CPU-clock critical paths (see benchmarks/README.md — wall-clock
     # parallelism is not measurable on shared-core CI hosts)
     cluster_report = None
     if args.workers:
-        with ClusterService.from_service(
-            service, workers=1, num_shards=args.num_shards
-        ) as cluster:
+        with ClusterService.from_service(service, workers=1) as cluster:
             single = replay(cluster, config)
             cluster.collect_obs()
         cluster_report = {
-            "num_shards": args.num_shards,
             "workers": args.workers,
             "single": single.as_dict(),
             "digest_match": single.answers_digest == stats.answers_digest,
         }
         if args.workers > 1:
-            with ClusterService.from_service(
-                service, workers=args.workers, num_shards=args.num_shards
-            ) as cluster:
+            with ClusterService.from_service(service, workers=args.workers) as cluster:
                 scaled = replay(cluster, config)
                 cluster.collect_obs()
             agg_1 = single.scale_out["aggregate_queries_per_s"]
@@ -536,8 +531,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if cluster_report is not None:
         agg = cluster_report["single"]["scale_out"]["aggregate_queries_per_s"]
         line = (
-            f"  cluster: {cluster_report['num_shards']} shards, "
-            f"1 worker {agg:,} queries/s"
+            f"  cluster: 1 worker {agg:,} queries/s"
         )
         if "scaled" in cluster_report:
             agg_n = cluster_report["scaled"]["scale_out"]["aggregate_queries_per_s"]
@@ -968,11 +962,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--workers", type=int, default=0,
         help="serving worker processes (0 = in-process service only; N >= 1 "
-             "additionally replays against an N-worker sharded cluster)",
-    )
-    p_serve.add_argument(
-        "--num-shards", type=int, default=16,
-        help="segment count of the cluster snapshot",
+             "additionally replays against an N-worker cluster, each worker "
+             "answering a contiguous row slice of every batch)",
     )
     p_serve.add_argument(
         "--loadgen-workers", type=int, default=1,

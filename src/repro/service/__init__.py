@@ -8,10 +8,11 @@ incrementally, and :mod:`repro.service.loadgen` replays Zipf-shaped
 synthetic user traffic against it to measure sustained queries/sec
 (``repro serve-bench``).
 
-Scale-out lives in :mod:`repro.service.cluster`: compiled lanes shard by
-country-pair hash into snapshot segments, :class:`ClusterService` serves
-them from N worker processes over one shared memory-mapped snapshot
-(answers byte-identical to the in-process service for any worker count),
+Scale-out lives in :mod:`repro.service.cluster`: :class:`ClusterService`
+serves one compiled segment from N worker processes over one shared
+memory-mapped snapshot, each worker answering a contiguous row span of
+every batch (answers byte-identical to the in-process service for any
+worker count),
 and :func:`cross_world_service` pools several world seeds' campaigns
 behind one directory via node-identity unification.
 
@@ -24,7 +25,6 @@ The bare ``ShortcutService(...)`` constructor is a deprecated shim.
 
 from repro.service.cluster import (
     CLUSTER_SNAPSHOT_VERSION,
-    NUM_SHARDS,
     ClusterService,
     cross_world_service,
     load_cluster_snapshot,
@@ -63,7 +63,6 @@ __all__ = [
     "DegradationCounters",
     "LaneBlock",
     "LoadgenConfig",
-    "NUM_SHARDS",
     "QueryStream",
     "RelayDirectory",
     "RouteAnswer",

@@ -1,4 +1,4 @@
-"""The sharded multi-process serving tier.
+"""The multi-process serving tier.
 
 One :class:`~repro.service.service.ShortcutService` replays ~2M
 queries/s on a single core; the "millions of users" architecture needs
@@ -11,41 +11,44 @@ so the pooled :class:`~repro.core.table.ObservationTable` compiles into
 one directory whose relay indices mean the same relay regardless of
 which world observed it.
 
-**Sharded serving.**  Compiled lookup lanes are partitioned by a hash of
-their canonical *country-pair* key (:func:`shard_of_pair_keys`) into
-``num_shards`` segments.  A query's shard is the hash of its endpoints'
-country pair — the same key that names its country-tier lane, and the
-pair-tier lane of the same two endpoints lands in the same shard by
-construction — so every query resolves entirely inside one shard and
-sharded answers are byte-identical to the unsharded directory's for any
-worker count (asserted in ``tests/test_cluster.py``).
+**One compiled segment.**  A cluster snapshot (:func:`save_cluster_snapshot`,
+format v4) is the v2 single-process layout plus the directory's compiled
+lane blocks, written once.  ``np.savez`` stores members uncompressed, so
+:func:`load_cluster_snapshot` maps each array straight off disk
+(``np.memmap``): N worker processes share one read-only copy of the page
+cache instead of N heap copies, and each worker serves *every* lane.
+The base arrays let the ingest master rebuild the full directory.  The
+retired sharded v3 layout (per-shard segments) is refused with a re-save
+hint; v2 snapshots migrate (:func:`migrate_snapshot`).
 
-Segments ship as **snapshot v3** (:func:`save_cluster_snapshot`): a
-strict superset of the v2 single-process format (same base arrays, so
-migration is a load + reshard) plus per-shard compiled lane blocks and a
-shard manifest.  ``np.savez`` stores members uncompressed, so
-:func:`load_cluster_snapshot` maps each array region straight off disk
-(``np.memmap``) — N worker processes share one read-only copy of the
-page cache instead of N heap copies.
+**Row-partitioned serving.**  :class:`ClusterService` is the batching
+front: it validates each query batch once, copies it into shared scratch
+buffers and hands worker ``w`` of ``W`` the contiguous row span
+``[m*w//W, m*(w+1)//W)``.  Each worker answers its span with one
+``route_many`` over its one segment and writes the answers back in place,
+so the front reassembles nothing and answers are byte-identical to the
+in-process service for any worker count by construction.  Commands and
+replies travel over one duplex pipe per worker.  Ingest goes through a
+master directory: fold the round in, write a fresh snapshot, and send
+every worker a ``swap`` — a worker remaps between serve commands (its
+pipe is FIFO), so no in-flight batch ever sees half-new state.
 
-:class:`ClusterService` is the batching front: it validates each query
-batch once, partitions it by shard, writes the partitioned queries into
-shared scratch buffers, and coalesces per-shard spans into one
-``route_many`` command per worker process; workers write answers back
-into shared buffers and the front reassembles them in query order.
-Ingest goes through a master directory: fold the round in, write a fresh
-v3 snapshot, and broadcast a ``swap`` — workers remap atomically between
-serve commands (their command queues are FIFO), so no in-flight batch
-ever sees half-new state.
+**Failure detection.**  While a reply is pending the front waits on each
+worker's pipe *and* its process sentinel, so a worker that dies (EOF or
+a fired sentinel) fails the pending call with a :class:`ServiceError`
+naming the worker and its exit code within milliseconds;
+``_TIMEOUT_S`` remains the backstop for a live worker that hangs.  A
+failed cluster refuses further calls; :meth:`ClusterService.close` still
+tears it down promptly.
 
 Scale-out accounting is CPU-clock based: each worker reports its busy
 time (``time.process_time``) per command, and the front adds its own
-partition/reassembly CPU.  ``aggregate_queries_per_s`` is queries over
-the *critical path* (front CPU + the busiest worker's CPU) — the
-throughput a deployment with one core per process would sustain — which
-measures real work division even on a single-core CI box where
-wall-clock parallelism is physically impossible.  See
-``benchmarks/README.md`` for the protocol.
+validation/copy CPU.  ``aggregate_queries_per_s`` is queries over the
+*critical path* (front CPU + the busiest worker's CPU) — the throughput
+a deployment with one core per process would sustain — which measures
+real work division even on a single-core CI box where wall-clock
+parallelism is physically impossible.  See ``benchmarks/README.md`` for
+the protocol.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ import os
 import shutil
 import tempfile
 import time
-from queue import Empty
+import traceback
+from multiprocessing.connection import wait
 from typing import IO, Any
 
 import numpy as np
@@ -63,7 +67,7 @@ import numpy as np
 from repro import obs
 from repro.core.results import CampaignResult, RelayRegistry, unify_relay_identities
 from repro.core.table import ObservationTable
-from repro.core.types import RelayType
+from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import ServiceError
 from repro.service.directory import (
     SNAPSHOT_VERSION,
@@ -80,154 +84,51 @@ from repro.util.npz import mmap_npz
 
 __all__ = [
     "CLUSTER_SNAPSHOT_VERSION",
-    "NUM_SHARDS",
     "ClusterService",
     "ClusterSnapshot",
     "cross_world_service",
     "load_cluster_snapshot",
     "migrate_snapshot",
     "save_cluster_snapshot",
-    "shard_of_pair_keys",
-    "shard_of_queries",
-    "split_directory_blocks",
 ]
 
-#: Default shard count.  Fixed independently of the worker count — every
-#: worker maps every segment (memmap views are free) and the front
-#: assigns whole shards to workers per batch by greedy load balancing —
-#: so answers and segment layout never depend on how many processes
-#: serve them.
-NUM_SHARDS = 16
+#: Snapshot format version of the cluster layout (v2 + one compiled segment).
+CLUSTER_SNAPSHOT_VERSION = SNAPSHOT_VERSION + 2
 
-#: Snapshot format version of the sharded cluster layout (v2 + segments).
-CLUSTER_SNAPSHOT_VERSION = SNAPSHOT_VERSION + 1
-
-_pack = ObservationTable.pack_pairs
+#: The retired sharded cluster layout (per-shard segments + manifest).
+_SHARDED_SNAPSHOT_VERSION = SNAPSHOT_VERSION + 1
 
 _TIERS = (TIER_PAIR, TIER_COUNTRY)
 
-#: Per-segment array suffixes, in write order.
-_SEGMENT_FIELDS = ("keys", "indptr", "relays", "counts", "red")
+
+def _check_cluster_version(version: int) -> None:
+    """Refuse every snapshot version but the current cluster layout."""
+    if version == SNAPSHOT_VERSION:
+        raise ServiceError(
+            f"snapshot version {version} is the single-process format; "
+            "migrate it with migrate_snapshot / ClusterService.from_snapshot"
+        )
+    if version == _SHARDED_SNAPSHOT_VERSION:
+        raise ServiceError(
+            f"snapshot version {version} is the retired sharded cluster "
+            "layout; re-save it from its directory with save_cluster_snapshot"
+        )
+    if version != CLUSTER_SNAPSHOT_VERSION:
+        raise ServiceError(f"unknown snapshot version {version}")
 
 
-# --------------------------------------------------------------------- shards
-
-
-def shard_of_pair_keys(keys: np.ndarray, num_shards: int) -> np.ndarray:
-    """Shard index per canonical country-pair key (splitmix64 finalizer).
-
-    The avalanche mix keeps shards balanced even though packed pair keys
-    share long common prefixes (small country codes in the high word).
-    """
-    x = np.asarray(keys, np.int64).astype(np.uint64)
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(0xBF58476D1CE4E5B9)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(0x94D049BB133111EB)
-    x = x ^ (x >> np.uint64(31))
-    return (x % np.uint64(num_shards)).astype(np.int64)
-
-
-def shard_of_queries(
-    endpoint_cc: np.ndarray,
-    src_codes: np.ndarray,
-    dst_codes: np.ndarray,
-    num_shards: int,
-) -> np.ndarray:
-    """Owning shard per query: the hash of its endpoints' country pair.
-
-    Unknown endpoints (code -1, or a code whose country was never
-    learned) clamp to country 0 — any shard resolves them to the direct
-    tier structurally, so the clamp only has to be deterministic.
-    """
-    src = np.asarray(src_codes, np.int64)
-    dst = np.asarray(dst_codes, np.int64)
-    scc = endpoint_cc[np.maximum(src, 0)].astype(np.int64)
-    dcc = endpoint_cc[np.maximum(dst, 0)].astype(np.int64)
-    scc = np.where(src >= 0, scc, -1)
-    dcc = np.where(dst >= 0, dcc, -1)
-    keys = _pack(np.maximum(scc, 0), np.maximum(dcc, 0))
-    return shard_of_pair_keys(keys, num_shards)
-
-
-def _subset_block(block: LaneBlock, lane_mask: np.ndarray) -> LaneBlock | None:
-    """The block restricted to masked lanes (order preserved), or None."""
-    if not lane_mask.any():
-        return None
-    lengths = np.diff(block.indptr)[lane_mask]
-    indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
-    total = int(indptr[-1])
-    gather = (
-        np.repeat(block.indptr[:-1][lane_mask], lengths)
-        + np.arange(total)
-        - np.repeat(indptr[:-1], lengths)
-    )
-    return LaneBlock(
-        keys=block.keys[lane_mask],
-        indptr=indptr,
-        relays=block.relays[gather],
-        counts=block.counts[gather],
-        reduction_ms=block.reduction_ms[gather],
-    )
-
-
-def split_directory_blocks(
-    directory: RelayDirectory, num_shards: int
-) -> list[dict[tuple[int, int], LaneBlock]]:
-    """Partition a directory's compiled blocks into per-shard segments.
-
-    Country-tier lanes shard by their own pair key; pair-tier lanes
-    shard by their endpoints' *country* pair — the same mapping
-    :func:`shard_of_queries` applies — so a query's pair and country
-    lanes always live in its own shard.  Lane order inside each segment
-    is the global order restricted to the shard, keeping per-shard
-    lookups binary-searchable and answers identical.
-    """
-    if num_shards < 1:
-        raise ServiceError(f"num_shards must be >= 1, got {num_shards}")
-    ep_cc = directory.endpoint_country_codes()
-    shards: list[dict[tuple[int, int], LaneBlock]] = [
-        {} for _ in range(num_shards)
-    ]
-    from repro.core.types import RELAY_TYPE_ORDER
-
-    for tier in _TIERS:
-        for code, relay_type in enumerate(RELAY_TYPE_ORDER):
-            block = directory.block(tier, relay_type)
-            if block.num_lanes == 0:
-                continue
-            if tier == TIER_COUNTRY:
-                lane_shard = shard_of_pair_keys(block.keys, num_shards)
-            else:
-                a = (block.keys >> np.int64(32)).astype(np.int64)
-                b = (block.keys & np.int64(0xFFFFFFFF)).astype(np.int64)
-                keys = _pack(
-                    np.maximum(ep_cc[a], 0).astype(np.int64),
-                    np.maximum(ep_cc[b], 0).astype(np.int64),
-                )
-                lane_shard = shard_of_pair_keys(keys, num_shards)
-            for shard in np.unique(lane_shard).tolist():
-                subset = _subset_block(block, lane_shard == shard)
-                if subset is not None:
-                    shards[shard][(tier, code)] = subset
-    return shards
-
-
-# ------------------------------------------------------------ snapshot v3
+# ------------------------------------------------------------ snapshot v4
 
 
 def save_cluster_snapshot(
-    source: RelayDirectory | ShortcutService,
-    file: str | IO[bytes],
-    *,
-    num_shards: int = NUM_SHARDS,
+    source: RelayDirectory | ShortcutService, file: str | IO[bytes]
 ) -> None:
-    """Write a sharded v3 snapshot: the v2 base layout plus segments.
+    """Write a cluster snapshot: the v2 base layout plus compiled blocks.
 
     Deterministic like v2: fixed array order, constant zip timestamps.
     The base arrays are exactly what :meth:`RelayDirectory.save` writes
-    (modulo the ``meta`` version row), so a v3 snapshot can always
-    rebuild the full unsharded directory for ingest.
+    (modulo the ``meta`` version row), so a cluster snapshot can always
+    rebuild the full directory for ingest.
     """
     directory = getattr(source, "directory", source)
     arrays = directory.snapshot_arrays()
@@ -235,29 +136,25 @@ def save_cluster_snapshot(
         [
             CLUSTER_SNAPSHOT_VERSION,
             -1 if directory.max_rounds is None else directory.max_rounds,
-            num_shards,
         ],
         np.int64,
     )
-    manifest: list[tuple[int, int, int, int, int]] = []
-    for shard, blocks in enumerate(split_directory_blocks(directory, num_shards)):
-        for tier, code in sorted(blocks):
-            block = blocks[(tier, code)]
-            manifest.append(
-                (shard, tier, code, block.num_lanes, int(block.relays.size))
-            )
-            prefix = f"s{shard}_t{tier}_{code}"
+    for tier in _TIERS:
+        for code, relay_type in enumerate(RELAY_TYPE_ORDER):
+            block = directory.block(tier, relay_type)
+            if block.num_lanes == 0:
+                continue
+            prefix = f"b_t{tier}_{code}"
             arrays[f"{prefix}_keys"] = block.keys
             arrays[f"{prefix}_indptr"] = block.indptr
             arrays[f"{prefix}_relays"] = block.relays
             arrays[f"{prefix}_counts"] = block.counts
             arrays[f"{prefix}_red"] = block.reduction_ms
-    arrays["shard_manifest"] = np.asarray(manifest, np.int64).reshape(-1, 5)
     np.savez(file, **arrays)
 
 
 class ClusterSnapshot:
-    """A parsed v3 snapshot: identity arrays plus per-shard segments.
+    """A parsed cluster snapshot: identity arrays plus one compiled segment.
 
     Arrays may be lazily ``np.memmap``-backed (the worker path) or eager
     (buffer loads); accessors never care which.
@@ -265,19 +162,9 @@ class ClusterSnapshot:
 
     def __init__(self, arrays: dict[str, np.ndarray]) -> None:
         meta = np.asarray(arrays["meta"])
-        version = int(meta[0])
-        if version == SNAPSHOT_VERSION:
-            raise ServiceError(
-                f"snapshot version {version} is the single-process format; "
-                "migrate it with migrate_snapshot / "
-                "ClusterService.from_snapshot"
-            )
-        if version != CLUSTER_SNAPSHOT_VERSION:
-            raise ServiceError(f"unknown snapshot version {version}")
+        _check_cluster_version(int(meta[0]))
         self._arrays = arrays
         self.max_rounds: int | None = None if int(meta[1]) < 0 else int(meta[1])
-        self.num_shards = int(meta[2])
-        self._manifest = np.asarray(arrays["shard_manifest"], np.int64)
 
     @property
     def arrays(self) -> dict[str, np.ndarray]:
@@ -303,39 +190,38 @@ class ClusterSnapshot:
             )
         )
 
-    def shard_blocks(self, shard: int) -> dict[tuple[int, int], LaneBlock]:
-        """The compiled lane blocks of one shard, possibly memmap-backed."""
+    def blocks(self) -> dict[tuple[int, int], LaneBlock]:
+        """The compiled lane blocks, possibly memmap-backed."""
         blocks: dict[tuple[int, int], LaneBlock] = {}
-        for row in self._manifest:
-            if int(row[0]) != shard:
-                continue
-            tier, code = int(row[1]), int(row[2])
-            prefix = f"s{shard}_t{tier}_{code}"
-            blocks[(tier, code)] = LaneBlock(
-                keys=self._arrays[f"{prefix}_keys"],
-                indptr=self._arrays[f"{prefix}_indptr"],
-                relays=self._arrays[f"{prefix}_relays"],
-                counts=self._arrays[f"{prefix}_counts"],
-                reduction_ms=self._arrays[f"{prefix}_red"],
-            )
+        for tier in _TIERS:
+            for code in range(len(RELAY_TYPE_ORDER)):
+                prefix = f"b_t{tier}_{code}"
+                if f"{prefix}_keys" not in self._arrays:
+                    continue
+                blocks[(tier, code)] = LaneBlock(
+                    keys=self._arrays[f"{prefix}_keys"],
+                    indptr=self._arrays[f"{prefix}_indptr"],
+                    relays=self._arrays[f"{prefix}_relays"],
+                    counts=self._arrays[f"{prefix}_counts"],
+                    reduction_ms=self._arrays[f"{prefix}_red"],
+                )
         return blocks
 
     def segment_service(
         self,
-        shard: int,
         *,
         k: int = 3,
         liveness_rounds: int | None = None,
         spill: int = 2,
     ) -> ShortcutService:
-        """A queryable service over one shard's segment (worker side).
+        """A queryable service over the compiled segment (worker side).
 
-        Shares the global identity arrays (endpoint countries, relay
-        health), so health filtering and validation behave exactly as
-        the full directory's.
+        Carries the identity arrays health filtering and validation need
+        (endpoint countries, relay health) but no per-round rows, so it
+        answers exactly as the full directory does and cannot ingest.
         """
         view = RelayDirectory.segment_view(
-            blocks=self.shard_blocks(shard),
+            blocks=self.blocks(),
             endpoint_cc=self.endpoint_country_codes(),
             countries=self.countries(),
             round_ids=self.round_ids(),
@@ -359,164 +245,111 @@ class ClusterSnapshot:
         )
 
     def full_directory(self) -> RelayDirectory:
-        """Rebuild the complete unsharded directory (the ingest master).
-
-        v3 carries every v2 base array, so this is the v2 load path with
-        the segment arrays ignored.
-        """
+        """Rebuild the complete directory with its round rows (the ingest
+        master): the v2 load path with the segment arrays ignored."""
         return RelayDirectory._from_arrays(self._arrays)
 
 
 def load_cluster_snapshot(
     file: str | IO[bytes], *, mmap: bool = True
 ) -> ClusterSnapshot:
-    """Parse a v3 snapshot, memory-mapping arrays when given a path.
+    """Parse a cluster snapshot, memory-mapping arrays when given a path.
 
     Raises:
-        ServiceError: for v2 snapshots (migrate first) and unknown
-            versions.
+        ServiceError: for v2 snapshots (migrate first), retired sharded
+            v3 snapshots (re-save) and unknown versions.
     """
     if mmap and isinstance(file, (str, os.PathLike)):
         try:
-            return ClusterSnapshot(mmap_npz(os.fspath(file)))
-        except (ServiceError, OSError, ValueError):
+            arrays = mmap_npz(os.fspath(file))
+        except (OSError, ValueError):
             pass  # compressed / exotic member: fall back to eager load
+        else:
+            return ClusterSnapshot(arrays)
     with np.load(file) as data:
+        _check_cluster_version(int(data["meta"][0]))
         arrays = {name: data[name] for name in data.files}
     return ClusterSnapshot(arrays)
 
 
-def migrate_snapshot(
-    src: str | IO[bytes],
-    dst: str | IO[bytes],
-    *,
-    num_shards: int = NUM_SHARDS,
-) -> None:
-    """Rewrite a v2 single-process snapshot as a sharded v3 snapshot."""
-    save_cluster_snapshot(RelayDirectory.load(src), dst, num_shards=num_shards)
+def migrate_snapshot(src: str | IO[bytes], dst: str | IO[bytes]) -> None:
+    """Rewrite a v2 single-process snapshot as a cluster snapshot."""
+    save_cluster_snapshot(RelayDirectory.load(src), dst)
 
 
 # ----------------------------------------------------------------- workers
 
 
-def _build_shard_services(
-    snapshot_path: str,
-    shard_ids: tuple[int, ...],
-    knobs: dict[str, Any],
-    previous: dict[int, ShortcutService] | None = None,
-) -> dict[int, ShortcutService]:
-    """(Re)load a worker's shard services from a snapshot path.
-
-    On swap, degradation counters carry over from the previous services
-    — the in-process analog (``ingest_round`` on one service) keeps its
-    cumulative counters too.
-    """
-    snapshot = load_cluster_snapshot(snapshot_path)
-    services: dict[int, ShortcutService] = {}
-    for shard in shard_ids:
-        if shard >= snapshot.num_shards:
-            continue
-        service = snapshot.segment_service(shard, **knobs)
-        if previous is not None and shard in previous:
-            service.counters = previous[shard].counters
-        services[shard] = service
-    return services
+def _scratch(scratch_dir: str, name: str, dtype, shape, mode: str) -> np.ndarray:
+    """A plain-ndarray view of one shared scratch buffer file."""
+    return np.asarray(
+        np.memmap(os.path.join(scratch_dir, name), dtype, mode, shape=shape)
+    )
 
 
 def _worker_main(
     widx: int,
     snapshot_path: str,
-    shard_ids: tuple[int, ...],
     scratch_dir: str,
     capacity: int,
     max_k: int,
     knobs: dict[str, Any],
-    cmd_q,
-    done_q,
+    conn,
 ) -> None:
-    """One worker process: serve owned shards from shared scratch buffers."""
+    """One worker process: answer row spans from shared scratch buffers."""
     try:
         # under fork the child inherits the front's enabled obs state;
         # swap in fresh recorders on this worker's own trace lane *before*
-        # building shard services, so their handles bind to worker state
+        # building the service, so its handles bind to worker state
         obs.begin_worker(lane=widx + 1, lane_name=f"worker-{widx}")
         sp_serve = obs.span("cluster.worker.serve")
-        services = _build_shard_services(snapshot_path, shard_ids, knobs)
-        qsrc = np.memmap(
-            os.path.join(scratch_dir, "qsrc.dat"), np.int64, "r", shape=(capacity,)
-        )
-        qdst = np.memmap(
-            os.path.join(scratch_dir, "qdst.dat"), np.int64, "r", shape=(capacity,)
-        )
-        qshard = np.memmap(
-            os.path.join(scratch_dir, "qshard.dat"), np.int64, "r", shape=(capacity,)
-        )
-        arel = np.memmap(
-            os.path.join(scratch_dir, "arel.dat"),
-            np.int32, "r+", shape=(capacity, max_k),
-        )
-        ared = np.memmap(
-            os.path.join(scratch_dir, "ared.dat"),
-            np.float64, "r+", shape=(capacity, max_k),
-        )
-        atier = np.memmap(
-            os.path.join(scratch_dir, "atier.dat"), np.int8, "r+", shape=(capacity,)
-        )
-        done_q.put(("ready", widx))
+        service = load_cluster_snapshot(snapshot_path).segment_service(**knobs)
+        qsrc = _scratch(scratch_dir, "qsrc.dat", np.int64, (capacity,), "r")
+        qdst = _scratch(scratch_dir, "qdst.dat", np.int64, (capacity,), "r")
+        arel = _scratch(scratch_dir, "arel.dat", np.int32, (capacity, max_k), "r+")
+        ared = _scratch(scratch_dir, "ared.dat", np.float64, (capacity, max_k), "r+")
+        atier = _scratch(scratch_dir, "atier.dat", np.int8, (capacity,), "r+")
+        conn.send(("ready",))
         while True:
-            msg = cmd_q.get()
+            msg = conn.recv()
             op = msg[0]
             if op == "serve":
-                _, m, shards, relay_value, k = msg
-                relay_type = RelayType(relay_value)
+                _, lo, hi, relay_value, k = msg
                 start = time.process_time()
-                # the front ships queries unsorted plus each row's shard
-                # code; the worker selects its own rows and scatters
-                # answers back to original positions, so the O(n) row
-                # bookkeeping runs in parallel (proportional to the
-                # shards this worker was assigned) instead of as a
-                # serial argsort on the front
                 with sp_serve:
-                    h = np.asarray(qshard[:m])
-                    for shard in shards:
-                        idx = np.flatnonzero(h == shard)
-                        batch = services[shard].route_many(
-                            qsrc[idx], qdst[idx], relay_type, k
-                        )
-                        arel[idx, :k] = batch.relay_ids
-                        ared[idx, :k] = batch.reduction_ms
-                        atier[idx] = batch.tier
-                done_q.put(("done", widx, time.process_time() - start))
+                    batch = service.route_many(
+                        qsrc[lo:hi], qdst[lo:hi], RelayType(relay_value), k
+                    )
+                    arel[lo:hi, :k] = batch.relay_ids
+                    ared[lo:hi, :k] = batch.reduction_ms
+                    atier[lo:hi] = batch.tier
+                conn.send(("done", time.process_time() - start))
             elif op == "swap":
-                services = _build_shard_services(
-                    msg[1], shard_ids, knobs, previous=services
-                )
-                done_q.put(("swapped", widx))
+                # degradation counters carry over, as they do across
+                # ingest_round on one in-process service
+                counters = service.counters
+                service = load_cluster_snapshot(msg[1]).segment_service(**knobs)
+                service.counters = counters
+                conn.send(("swapped",))
             elif op == "counters":
-                total = DegradationCounters()
-                for service in services.values():
-                    total.merge(service.counters.as_dict())
-                done_q.put(("counters", widx, total.as_dict()))
+                conn.send(("counters", service.counters.as_dict()))
             elif op == "obs":
-                done_q.put(("obs", widx, obs.worker_payload()))
+                conn.send(("obs", obs.worker_payload()))
             elif op == "stop":
-                done_q.put(("stopped", widx))
                 return
             else:  # pragma: no cover - defensive
                 raise ServiceError(f"unknown worker command {op!r}")
     except Exception:  # pragma: no cover - surfaced front-side as ServiceError
-        import traceback
-
-        done_q.put(("error", widx, traceback.format_exc()))
+        conn.send(("error", traceback.format_exc()))
 
 
 # ------------------------------------------------------------------- front
 
 
 class ClusterService:
-    """N worker processes serving one sharded snapshot, batch-coalesced.
+    """N worker processes serving one mmap'd snapshot, row-partitioned.
 
-    Built via :meth:`from_service` (shard a live service) or
+    Built via :meth:`from_service` (scale out a live service) or
     :meth:`from_snapshot` (serve a snapshot file; v2 snapshots migrate
     transparently).  Implements the same query surface as
     :class:`ShortcutService` — ``route_many`` / ``route`` /
@@ -556,7 +389,9 @@ class ClusterService:
         if spill < 0:
             raise ServiceError(f"spill must be >= 0, got {spill}")
         self._closed = False
+        self._failure: str | None = None
         self._procs: list = []
+        self._conns: list = []
         self._snapshot_path = os.fspath(snapshot_path)
         self._owns_snapshot = owns_snapshot
         self._workdir = workdir or tempfile.mkdtemp(prefix="repro-cluster-")
@@ -575,64 +410,41 @@ class ClusterService:
         self._c_batches = obs.counter("cluster.batches")
         self._c_queries = obs.counter("cluster.queries")
 
-        snapshot = load_cluster_snapshot(self._snapshot_path)
-        self._num_shards = snapshot.num_shards
-        self._front = snapshot.identity_directory()
-        self._endpoint_cc = self._front.endpoint_country_codes()
-
-        scratch = os.path.join(self._workdir, "scratch")
-        os.makedirs(scratch, exist_ok=True)
-        self._scratch_dir = scratch
-        self._qsrc = np.memmap(
-            os.path.join(scratch, "qsrc.dat"), np.int64, "w+", shape=(capacity,)
-        )
-        self._qdst = np.memmap(
-            os.path.join(scratch, "qdst.dat"), np.int64, "w+", shape=(capacity,)
-        )
-        self._qshard = np.memmap(
-            os.path.join(scratch, "qshard.dat"), np.int64, "w+", shape=(capacity,)
-        )
-        self._arel = np.memmap(
-            os.path.join(scratch, "arel.dat"),
-            np.int32, "w+", shape=(capacity, self._max_k),
-        )
-        self._ared = np.memmap(
-            os.path.join(scratch, "ared.dat"),
-            np.float64, "w+", shape=(capacity, self._max_k),
-        )
-        self._atier = np.memmap(
-            os.path.join(scratch, "atier.dat"), np.int8, "w+", shape=(capacity,)
-        )
-
-        methods = mp.get_all_start_methods()
-        self._ctx = mp.get_context("fork" if "fork" in methods else None)
-        self._done_q = self._ctx.Queue()
-        self._cmd_qs = [self._ctx.Queue() for _ in range(workers)]
-        knobs = {"k": k, "liveness_rounds": liveness_rounds, "spill": spill}
         try:
+            self._front = load_cluster_snapshot(
+                self._snapshot_path
+            ).identity_directory()
+            self._endpoint_cc = self._front.endpoint_country_codes()
+
+            scratch = os.path.join(self._workdir, "scratch")
+            os.makedirs(scratch, exist_ok=True)
+            max_k = self._max_k
+            self._qsrc = _scratch(scratch, "qsrc.dat", np.int64, (capacity,), "w+")
+            self._qdst = _scratch(scratch, "qdst.dat", np.int64, (capacity,), "w+")
+            self._arel = _scratch(scratch, "arel.dat", np.int32, (capacity, max_k), "w+")
+            self._ared = _scratch(scratch, "ared.dat", np.float64, (capacity, max_k), "w+")
+            self._atier = _scratch(scratch, "atier.dat", np.int8, (capacity,), "w+")
+
+            methods = mp.get_all_start_methods()
+            ctx = mp.get_context("fork" if "fork" in methods else None)
+            knobs = {"k": k, "liveness_rounds": liveness_rounds, "spill": spill}
             for widx in range(workers):
-                # every worker maps every shard (segment arrays are shared
-                # read-only mmaps, so this costs views, not copies); the
-                # front balances whole shards across workers per batch
-                shard_ids = tuple(range(self._num_shards))
-                proc = self._ctx.Process(
+                conn, child = ctx.Pipe(duplex=True)
+                proc = ctx.Process(
                     target=_worker_main,
                     args=(
-                        widx, self._snapshot_path, shard_ids, scratch,
-                        capacity, self._max_k, knobs,
-                        self._cmd_qs[widx], self._done_q,
+                        widx, self._snapshot_path, scratch,
+                        capacity, max_k, knobs, child,
                     ),
                     daemon=True,
                 )
                 proc.start()
+                # closed before the next fork, so a worker's death is EOF
+                # on its pipe and no later worker holds its far end
+                child.close()
                 self._procs.append(proc)
-            pending = set(range(workers))
-            while pending:
-                msg = self._get_done()
-                if msg[0] == "ready":
-                    pending.discard(msg[1])
-                elif msg[0] == "error":
-                    self._raise_worker_error(msg)
+                self._conns.append(conn)
+            self._gather(range(workers), "ready")
         except BaseException:
             self.close()
             raise
@@ -646,10 +458,9 @@ class ClusterService:
         service: ShortcutService | RelayDirectory,
         *,
         workers: int = 2,
-        num_shards: int = NUM_SHARDS,
         capacity: int = 32768,
     ) -> ClusterService:
-        """Shard a live service into a worker fleet.
+        """Scale a live service out to a worker fleet.
 
         Tuning knobs (``k``, ``liveness_rounds``, ``spill``) are
         inherited from the service; the service stays attached as the
@@ -661,9 +472,7 @@ class ClusterService:
         workdir = tempfile.mkdtemp(prefix="repro-cluster-")
         try:
             path = os.path.join(workdir, "snapshot-0.npz")
-            save_cluster_snapshot(
-                service.directory, path, num_shards=num_shards
-            )
+            save_cluster_snapshot(service.directory, path)
             return cls(
                 path,
                 workers=workers,
@@ -685,17 +494,15 @@ class ClusterService:
         file: str | IO[bytes],
         *,
         workers: int = 2,
-        num_shards: int = NUM_SHARDS,
         k: int = 3,
         liveness_rounds: int | None = None,
         spill: int = 2,
         capacity: int = 32768,
     ) -> ClusterService:
-        """Serve a snapshot file: v3 directly, v2 via transparent migration.
+        """Serve a snapshot file: cluster format directly, v2 via migration.
 
-        A v2 (single-process) snapshot is loaded, resharded into
-        ``num_shards`` segments and republished as v3; a v3 snapshot is
-        served as-is (``num_shards`` then comes from the snapshot).
+        A v2 (single-process) snapshot is loaded and republished in the
+        cluster format; a retired sharded v3 snapshot is refused.
         """
         if hasattr(file, "seek"):
             file.seek(0)
@@ -707,14 +514,8 @@ class ClusterService:
             service = ShortcutService.from_snapshot(
                 file, k=k, liveness_rounds=liveness_rounds, spill=spill
             )
-            return cls.from_service(
-                service,
-                workers=workers,
-                num_shards=num_shards,
-                capacity=capacity,
-            )
-        if version != CLUSTER_SNAPSHOT_VERSION:
-            raise ServiceError(f"unknown snapshot version {version}")
+            return cls.from_service(service, workers=workers, capacity=capacity)
+        _check_cluster_version(version)
         if isinstance(file, (str, os.PathLike)):
             return cls(
                 os.fspath(file),
@@ -756,10 +557,6 @@ class ClusterService:
         return self._workers
 
     @property
-    def num_shards(self) -> int:
-        return self._num_shards
-
-    @property
     def default_k(self) -> int:
         return self._k
 
@@ -785,10 +582,9 @@ class ClusterService:
     ) -> RouteBatch:
         """Relay choices for a whole query batch, served by the fleet.
 
-        Validates once, partitions by shard, dispatches one coalesced
-        command per owning worker, and reassembles answers in query
-        order.  Byte-identical to the in-process ``route_many`` over the
-        unsharded directory.
+        Validates once, gives every worker one contiguous row span, and
+        returns the answers the workers wrote in place.  Byte-identical
+        to the in-process ``route_many``.
         """
         self._check_open()
         if k is None:
@@ -820,6 +616,7 @@ class ClusterService:
         )
         self._front_cpu_s += time.process_time() - start
         n = src.shape[0]
+        workers = self._workers
         relay_ids = np.empty((n, k), np.int32)
         reduction_ms = np.empty((n, k), np.float64)
         tier = np.empty(n, np.int8)
@@ -827,47 +624,18 @@ class ClusterService:
             hi = min(lo + self._capacity, n)
             m = hi - lo
             start = time.process_time()
-            shard = shard_of_queries(
-                self._endpoint_cc, src[lo:hi], dst[lo:hi], self._num_shards
-            )
-            # queries ship unsorted (plain copies) plus each row's shard
-            # code; every worker selects its own rows and scatters answers
-            # back to original positions, so the per-row bookkeeping runs
-            # in parallel instead of as a serial sort on the front
             self._qsrc[:m] = src[lo:hi]
             self._qdst[:m] = dst[lo:hi]
-            self._qshard[:m] = shard
-            counts = np.bincount(shard, minlength=self._num_shards)
-            if self._obs_on:
-                for s in np.flatnonzero(counts).tolist():
-                    obs.inc(f"cluster.shard.{s}.queries", int(counts[s]))
-            # greedy LPT: heaviest shards first onto the least-loaded
-            # worker — real traffic is Zipf-skewed, so static s % W
-            # assignment would leave one worker owning the hot shard
-            shards_by_worker: dict[int, list[int]] = {}
-            loads = [0] * self._workers
-            occupied = sorted(
-                np.flatnonzero(counts).tolist(),
-                key=lambda s: (-int(counts[s]), s),
-            )
-            for s in occupied:
-                widx = min(range(self._workers), key=loads.__getitem__)
-                loads[widx] += int(counts[s])
-                shards_by_worker.setdefault(widx, []).append(int(s))
             self._front_cpu_s += time.process_time() - start
-            for widx, shards in shards_by_worker.items():
-                self._cmd_qs[widx].put(("serve", m, shards, relay_type.value, k))
-                self._dispatches += 1
-            pending = set(shards_by_worker)
-            while pending:
-                msg = self._get_done()
-                if msg[0] == "done":
-                    self._busy[msg[1]] += msg[2]
-                    pending.discard(msg[1])
-                elif msg[0] == "error":
-                    self._raise_worker_error(msg)
-                else:  # pragma: no cover - defensive
-                    raise ServiceError(f"unexpected worker reply {msg[0]!r}")
+            busy = []
+            for widx in range(workers):
+                a, b = m * widx // workers, m * (widx + 1) // workers
+                if b > a:
+                    self._send(widx, ("serve", a, b, relay_type.value, k))
+                    busy.append(widx)
+            self._dispatches += len(busy)
+            for widx, msg in self._gather(busy, "done").items():
+                self._busy[widx] += msg[1]
             start = time.process_time()
             relay_ids[lo:hi] = self._arel[:m, :k]
             reduction_ms[lo:hi] = self._ared[:m, :k]
@@ -904,8 +672,8 @@ class ClusterService:
         """Fold a round into the master directory and swap with no downtime.
 
         The master ingests incrementally (byte-identical to a full
-        recompile, as always), a fresh v3 snapshot is written next to
-        the current one, and every worker remaps to it between serve
+        recompile, as always), a fresh snapshot is written next to the
+        current one, and every worker remaps to it between serve
         commands; the previous snapshot is deleted only after all
         workers acknowledged the swap.
         """
@@ -930,16 +698,8 @@ class ClusterService:
         with self._sp_swap:
             self._epoch += 1
             path = os.path.join(self._workdir, f"snapshot-{self._epoch}.npz")
-            save_cluster_snapshot(directory, path, num_shards=self._num_shards)
-            for cmd_q in self._cmd_qs:
-                cmd_q.put(("swap", path))
-            pending = set(range(self._workers))
-            while pending:
-                msg = self._get_done()
-                if msg[0] == "swapped":
-                    pending.discard(msg[1])
-                elif msg[0] == "error":
-                    self._raise_worker_error(msg)
+            save_cluster_snapshot(directory, path)
+            self._broadcast(("swap", path), "swapped")
             previous = self._snapshot_path
             self._snapshot_path = path
             if self._owns_snapshot:
@@ -955,21 +715,17 @@ class ClusterService:
     # ------------------------------------------------------------ telemetry
 
     def degradation_summary(self) -> dict[str, int] | None:
-        """Aggregated worker degradation counters (None when health off)."""
+        """Summed worker degradation counters (None when health off).
+
+        Every counter is a per-row sum, so the total equals what the
+        in-process service counts over the same batches.
+        """
         if self._liveness_rounds is None:
             return None
         self._check_open()
-        for cmd_q in self._cmd_qs:
-            cmd_q.put(("counters",))
         total = DegradationCounters()
-        pending = set(range(self._workers))
-        while pending:
-            msg = self._get_done()
-            if msg[0] == "counters":
-                total.merge(msg[2])
-                pending.discard(msg[1])
-            elif msg[0] == "error":
-                self._raise_worker_error(msg)
+        for msg in self._broadcast(("counters",), "counters").values():
+            total.merge(msg[1])
         return total.as_dict()
 
     def collect_obs(self) -> None:
@@ -984,17 +740,10 @@ class ClusterService:
         if not obs.active():
             return
         self._check_open()
-        for cmd_q in self._cmd_qs:
-            cmd_q.put(("obs",))
-        pending = set(range(self._workers))
-        while pending:
-            msg = self._get_done()
-            if msg[0] == "obs":
-                if msg[2] is not None:
-                    obs.merge_worker_payload(msg[2])
-                pending.discard(msg[1])
-            elif msg[0] == "error":
-                self._raise_worker_error(msg)
+        replies = self._broadcast(("obs",), "obs")
+        for widx in sorted(replies):
+            if replies[widx][1] is not None:
+                obs.merge_worker_payload(replies[widx][1])
 
     def reset_clocks(self) -> None:
         """Zero the scale-out accounting (start of a measured replay)."""
@@ -1016,7 +765,6 @@ class ClusterService:
         critical = self._front_cpu_s + max_busy
         return {
             "workers": self._workers,
-            "num_shards": self._num_shards,
             "queries": int(self._queries_served),
             "dispatches": int(self._dispatches),
             "front_cpu_s": round(self._front_cpu_s, 6),
@@ -1034,7 +782,6 @@ class ClusterService:
         """Cluster shape summary (front-side; no worker round-trip)."""
         return {
             "workers": self._workers,
-            "num_shards": self._num_shards,
             "capacity": self._capacity,
             "default_k": self._k,
             "liveness_rounds": self._liveness_rounds,
@@ -1047,37 +794,94 @@ class ClusterService:
 
     # ------------------------------------------------------------- lifecycle
 
-    def _get_done(self):
+    def _send(self, widx: int, msg: tuple) -> None:
         try:
-            return self._done_q.get(timeout=self._TIMEOUT_S)
-        except Empty:
-            raise ServiceError(
-                f"cluster worker timed out after {self._TIMEOUT_S}s"
-            ) from None
+            self._conns[widx].send(msg)
+        except OSError:
+            self._worker_died(widx)
 
-    def _raise_worker_error(self, msg) -> None:
-        raise ServiceError(f"cluster worker {msg[1]} failed:\n{msg[2]}")
+    def _broadcast(self, msg: tuple, expect: str) -> dict[int, tuple]:
+        for widx in range(self._workers):
+            self._send(widx, msg)
+        return self._gather(range(self._workers), expect)
+
+    def _gather(self, widxs, expect: str) -> dict[int, tuple]:
+        """One ``expect`` reply from each worker in ``widxs``.
+
+        Waits on every pending worker's pipe and process sentinel at
+        once: a worker that exits with a reply still owed fails the call
+        at once instead of after ``_TIMEOUT_S``.
+        """
+        owner: dict[Any, int] = {}
+        for widx in widxs:
+            owner[self._conns[widx]] = widx
+            owner[self._procs[widx].sentinel] = widx
+        pending = set(owner.values())
+        replies: dict[int, tuple] = {}
+        deadline = time.monotonic() + self._TIMEOUT_S
+        while pending:
+            ready = wait(list(owner), timeout=max(deadline - time.monotonic(), 0))
+            if not ready:
+                self._fail(f"cluster worker timed out after {self._TIMEOUT_S}s")
+            for handle in ready:
+                widx = owner[handle]
+                conn = self._conns[widx]
+                if widx not in pending:
+                    continue
+                # a fired sentinel may still leave a reply in the pipe
+                if handle is not conn and not conn.poll():
+                    self._worker_died(widx)
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):  # OSError: reset by a killed peer
+                    self._worker_died(widx)
+                if msg[0] == "error":
+                    self._fail(f"cluster worker {widx} failed:\n{msg[1]}")
+                if msg[0] != expect:  # pragma: no cover - defensive
+                    self._fail(f"unexpected worker reply {msg[0]!r}")
+                replies[widx] = msg
+                pending.discard(widx)
+                del owner[conn], owner[self._procs[widx].sentinel]
+        return replies
+
+    def _worker_died(self, widx: int) -> None:
+        proc = self._procs[widx]
+        proc.join(timeout=1.0)
+        self._fail(f"cluster worker {widx} died (exit code {proc.exitcode})")
+
+    def _fail(self, reason: str) -> None:
+        """Raise ``reason``; the cluster refuses every later call.
+
+        Replies from the surviving workers may still be in flight, so the
+        command/reply pairing is no longer trustworthy.
+        """
+        self._failure = reason
+        raise ServiceError(reason)
 
     def _check_open(self) -> None:
         if self._closed:
             raise ServiceError("cluster service is closed")
+        if self._failure is not None:
+            raise ServiceError(f"cluster service failed: {self._failure}")
 
     def close(self) -> None:
         """Stop the workers and remove the scratch directory (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        for cmd_q in getattr(self, "_cmd_qs", []):
+        for conn in self._conns:
             try:
-                cmd_q.put(("stop",))
-            except Exception:  # pragma: no cover - teardown best-effort
+                conn.send(("stop",))
+            except OSError:  # the worker already died
                 pass
         for proc in self._procs:
             proc.join(timeout=10)
             if proc.is_alive():  # pragma: no cover - hung worker
                 proc.terminate()
                 proc.join(timeout=5)
-        for attr in ("_qsrc", "_qdst", "_qshard", "_arel", "_ared", "_atier"):
+        for conn in self._conns:
+            conn.close()
+        for attr in ("_qsrc", "_qdst", "_arel", "_ared", "_atier"):
             if hasattr(self, attr):
                 setattr(self, attr, None)
         if getattr(self, "_workdir", None):

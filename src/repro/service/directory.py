@@ -166,7 +166,7 @@ def validate_query_codes(
     """Check a query batch against a directory's known endpoint range.
 
     Shared by :meth:`RelayDirectory.lookup_many` and the cluster front
-    (which validates *before* dispatching to shard workers), so both
+    (which validates *before* dispatching to its workers), so both
     paths reject malformed batches with identical errors.  Returns the
     queries as parallel ``int64`` arrays.
 
@@ -668,8 +668,8 @@ class RelayDirectory:
     def snapshot_arrays(self) -> dict[str, np.ndarray]:
         """The v2 snapshot as a flat name -> array dict, in write order.
 
-        The cluster's v3 format extends this dict with per-shard segment
-        arrays (see :mod:`repro.service.cluster`), so both formats agree
+        The cluster format extends this dict with the compiled lane
+        blocks (see :mod:`repro.service.cluster`), so both formats agree
         on the base layout by construction.
         """
         arrays: dict[str, np.ndarray] = {
@@ -716,7 +716,7 @@ class RelayDirectory:
         """Rebuild from a snapshot's base arrays (version already checked).
 
         ``data`` is any name -> array mapping holding the v2 base layout;
-        extra names (the v3 segment arrays) are ignored, which is what
+        extra names (the cluster's block arrays) are ignored, which is what
         lets the cluster loader reuse this for migration.
         """
         meta = data["meta"]
@@ -754,14 +754,14 @@ class RelayDirectory:
 
         Raises:
             ServiceError: on unknown snapshot versions, including the
-                cluster's sharded v3 format (load those through
+                cluster formats (load those through
                 :func:`repro.service.cluster.load_cluster_snapshot`).
         """
         with np.load(file) as data:
             version = int(data["meta"][0])
-            if version == SNAPSHOT_VERSION + 1:
+            if version in (SNAPSHOT_VERSION + 1, SNAPSHOT_VERSION + 2):
                 raise ServiceError(
-                    f"snapshot version {version} is a sharded cluster "
+                    f"snapshot version {version} is a cluster "
                     "snapshot; load it with "
                     "repro.service.cluster.load_cluster_snapshot / "
                     "ClusterService.from_snapshot"
@@ -782,12 +782,11 @@ class RelayDirectory:
         relay_last_seen: dict[int, int] | None = None,
         max_rounds: int | None = None,
     ) -> RelayDirectory:
-        """A queryable directory over prebuilt lane blocks (one shard).
+        """A queryable directory over prebuilt lane blocks.
 
-        Shard workers serve these: the compiled ``blocks`` are a lane
-        subset of some full directory, the identity arrays are shared
-        with it, and lookups behave exactly as the full directory does
-        for queries whose lanes live in this shard.  Views carry no
+        Cluster workers serve these: the compiled ``blocks`` are some
+        full directory's, the identity arrays are shared with it, and
+        lookups behave exactly as the full directory's.  Views carry no
         per-round rows, so they cannot ingest — swaps replace the whole
         view instead (the cluster's zero-downtime path).
         """

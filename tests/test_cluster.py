@@ -1,13 +1,17 @@
-"""Sharded cluster serving tier: sharding, v3 snapshots, worker fleets.
+"""Cluster serving tier: snapshots, row-partitioned worker fleets.
 
-The load-bearing invariant throughout: a query's pair lane and country
-lane land in the same shard by construction, so the cluster answers are
-byte-identical to the in-process service for any worker count.
+The load-bearing invariant throughout: every worker maps the whole
+compiled segment and answers a contiguous row span of each batch, so
+cluster answers are byte-identical to the in-process service for any
+worker count.  Committed golden digests pin those answers.
 """
 
 from __future__ import annotations
 
 import io
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +20,6 @@ from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import ServiceError
 from repro.service import (
     CLUSTER_SNAPSHOT_VERSION,
-    NUM_SHARDS,
     SNAPSHOT_VERSION,
     TIER_COUNTRY,
     TIER_PAIR,
@@ -30,11 +33,14 @@ from repro.service import (
     replay,
     save_cluster_snapshot,
 )
-from repro.service.cluster import (
-    shard_of_pair_keys,
-    shard_of_queries,
-    split_directory_blocks,
-)
+
+#: Answers digest of ``GOLDEN_CONFIG`` replayed against the ``service``
+#: fixture, and that fixture's ``block_signature()``.  Recorded before the
+#: row-partitioned serving path existed, so they pin the answers
+#: independently of it: a change here means the answers changed.
+GOLDEN_CONFIG = LoadgenConfig(num_queries=4096, batch_size=512)
+GOLDEN_ANSWERS_DIGEST = "08a1fd988bad0c913f699074eed34e05"
+GOLDEN_BLOCK_SIGNATURE = "c4dc0e4c91ed61dbd1c949a2883d5da3"
 
 
 @pytest.fixture(scope="module")
@@ -58,68 +64,31 @@ def _sample_codes(service, n=512, seed=7):
     )
 
 
-class TestSharding:
-    def test_pair_key_hash_deterministic_and_in_range(self):
-        keys = np.arange(10_000, dtype=np.int64) * 17
-        a = shard_of_pair_keys(keys, NUM_SHARDS)
-        b = shard_of_pair_keys(keys, NUM_SHARDS)
-        assert np.array_equal(a, b)
-        assert a.min() >= 0 and a.max() < NUM_SHARDS
-        # the splitmix finalizer must spread prefix-sharing keys: every
-        # shard should own a non-trivial slice of a 10k-key population
-        counts = np.bincount(a, minlength=NUM_SHARDS)
-        assert counts.min() > 0
-
-    def test_query_shard_matches_country_pair_shard(self, service):
-        from repro.core.table import ObservationTable
-
-        src, dst = _sample_codes(service)
-        ep_cc = service.directory.endpoint_country_codes()
-        got = shard_of_queries(ep_cc, src, dst, NUM_SHARDS)
-        keys = ObservationTable.pack_pairs(
-            ep_cc[src].astype(np.int64), ep_cc[dst].astype(np.int64)
-        )
-        assert np.array_equal(got, shard_of_pair_keys(keys, NUM_SHARDS))
-
-    def test_unknown_endpoints_clamp_deterministically(self, service):
-        ep_cc = service.directory.endpoint_country_codes()
-        src = np.asarray([-1, 0], np.int64)
-        dst = np.asarray([0, -1], np.int64)
-        a = shard_of_queries(ep_cc, src, dst, NUM_SHARDS)
-        b = shard_of_queries(ep_cc, src, dst, NUM_SHARDS)
-        assert np.array_equal(a, b)
-
-    def test_split_partitions_every_lane_once(self, service):
-        shards = split_directory_blocks(service.directory, NUM_SHARDS)
-        for tier in (TIER_PAIR, TIER_COUNTRY):
-            for code, relay_type in enumerate(RELAY_TYPE_ORDER):
-                block = service.directory.block(tier, relay_type)
-                seen = np.concatenate(
-                    [
-                        s[(tier, code)].keys
-                        for s in shards
-                        if (tier, code) in s
-                    ]
-                    or [np.empty(0, np.int64)]
-                )
-                assert sorted(seen.tolist()) == sorted(block.keys.tolist())
-
-    def test_split_rejects_bad_shard_count(self, service):
-        with pytest.raises(ServiceError):
-            split_directory_blocks(service.directory, 0)
-
-
 class TestSnapshotV3:
+    """The cluster snapshot (format v4; the class keeps its v3-era name)."""
+
     def test_roundtrip_rebuilds_full_directory(self, service, tmp_path):
         path = tmp_path / "cluster.npz"
         save_cluster_snapshot(service, path)
         snapshot = load_cluster_snapshot(path)
-        assert snapshot.num_shards == NUM_SHARDS
         rebuilt = snapshot.full_directory()
         assert (
             rebuilt.block_signature()
             == service.directory.block_signature()
         )
+
+    def test_segment_holds_every_compiled_block_once(self, service):
+        buffer = io.BytesIO()
+        save_cluster_snapshot(service, buffer)
+        buffer.seek(0)
+        blocks = load_cluster_snapshot(buffer).blocks()
+        for tier in (TIER_PAIR, TIER_COUNTRY):
+            for code, relay_type in enumerate(RELAY_TYPE_ORDER):
+                block = service.directory.block(tier, relay_type)
+                if block.num_lanes == 0:
+                    assert (tier, code) not in blocks
+                else:
+                    assert blocks[(tier, code)].equal(block)
 
     def test_save_is_deterministic(self, service):
         a, b = io.BytesIO(), io.BytesIO()
@@ -130,14 +99,12 @@ class TestSnapshotV3:
     def test_mmap_and_eager_loads_agree(self, service, tmp_path):
         path = tmp_path / "cluster.npz"
         save_cluster_snapshot(service, path)
-        lazy = load_cluster_snapshot(path, mmap=True)
-        eager = load_cluster_snapshot(path, mmap=False)
-        for shard in range(NUM_SHARDS):
-            a, b = lazy.shard_blocks(shard), eager.shard_blocks(shard)
-            assert set(a) == set(b)
-            for key in a:
-                assert np.array_equal(a[key].keys, b[key].keys)
-                assert np.array_equal(a[key].relays, b[key].relays)
+        lazy = load_cluster_snapshot(path, mmap=True).blocks()
+        eager = load_cluster_snapshot(path, mmap=False).blocks()
+        assert lazy and set(lazy) == set(eager)
+        for key in lazy:
+            assert isinstance(lazy[key].keys, np.memmap)
+            assert lazy[key].equal(eager[key])
 
     def test_v2_snapshot_rejected_with_migrate_hint(self, service):
         with pytest.raises(ServiceError, match="migrate"):
@@ -147,7 +114,7 @@ class TestSnapshotV3:
         buffer = io.BytesIO()
         save_cluster_snapshot(service, buffer)
         buffer.seek(0)
-        with pytest.raises(ServiceError, match="sharded cluster"):
+        with pytest.raises(ServiceError, match="cluster snapshot"):
             RelayDirectory.load(buffer)
 
     def test_unknown_version_rejected(self, service, tmp_path):
@@ -161,8 +128,35 @@ class TestSnapshotV3:
         with pytest.raises(ServiceError, match="unknown snapshot version"):
             load_cluster_snapshot(bad)
 
+    def test_sharded_v3_snapshot_refused_with_resave_hint(self, service, tmp_path):
+        # the retired layout: v2 base arrays, meta (3, max_rounds,
+        # num_shards), per-shard segment arrays and a shard manifest
+        directory = service.directory
+        arrays = directory.snapshot_arrays()
+        arrays["meta"] = np.asarray([SNAPSHOT_VERSION + 1, -1, 16], np.int64)
+        block = directory.block(TIER_PAIR, RelayType.COR)
+        arrays["s0_t0_0_keys"] = block.keys
+        arrays["s0_t0_0_indptr"] = block.indptr
+        arrays["shard_manifest"] = np.asarray(
+            [[0, 0, 0, block.num_lanes, block.relays.size]], np.int64
+        )
+        path = tmp_path / "sharded-v3.npz"
+        np.savez(path, **arrays)
+        match = r"version 3 .*re-save"
+        for mmap in (True, False):
+            with pytest.raises(ServiceError, match=match):
+                load_cluster_snapshot(path, mmap=mmap)
+        with pytest.raises(ServiceError, match=match):
+            ClusterService.from_snapshot(path, workers=1)
+        with pytest.raises(ServiceError, match=match):
+            ClusterService.from_snapshot(io.BytesIO(path.read_bytes()), workers=1)
+        with pytest.raises(ServiceError, match=match):
+            ClusterService(str(path), workers=1)
+        with pytest.raises(ServiceError, match="cluster snapshot"):
+            RelayDirectory.load(path)
+
     def test_migrate_v2_to_v3(self, service, tmp_path):
-        assert CLUSTER_SNAPSHOT_VERSION == SNAPSHOT_VERSION + 1
+        assert CLUSTER_SNAPSHOT_VERSION == SNAPSHOT_VERSION + 2
         dst = tmp_path / "migrated.npz"
         migrate_snapshot(io.BytesIO(_v2_bytes(service)), dst)
         snapshot = load_cluster_snapshot(dst)
@@ -171,22 +165,36 @@ class TestSnapshotV3:
             == service.directory.block_signature()
         )
 
-    def test_segment_service_answers_match_shard_queries(self, service):
+    def test_segment_service_answers_match_in_process(self, service):
         buffer = io.BytesIO()
         save_cluster_snapshot(service, buffer)
         buffer.seek(0)
-        snapshot = load_cluster_snapshot(buffer)
+        segment = load_cluster_snapshot(buffer).segment_service()
         src, dst = _sample_codes(service, n=256)
-        ep_cc = service.directory.endpoint_country_codes()
-        shard = shard_of_queries(ep_cc, src, dst, snapshot.num_shards)
-        want = service.route_many(src, dst, RelayType.COR, 3)
-        for s in np.unique(shard).tolist():
-            rows = shard == s
-            got = snapshot.segment_service(s).route_many(
-                src[rows], dst[rows], RelayType.COR, 3
+        for relay_type in RELAY_TYPE_ORDER:
+            want = service.route_many(src, dst, relay_type, 3)
+            got = segment.route_many(src, dst, relay_type, 3)
+            assert np.array_equal(got.relay_ids, want.relay_ids)
+            assert np.array_equal(got.tier, want.tier)
+            assert np.array_equal(
+                got.reduction_ms, want.reduction_ms, equal_nan=True
             )
-            assert np.array_equal(got.relay_ids, want.relay_ids[rows])
-            assert np.array_equal(got.tier, want.tier[rows])
+
+
+class TestGoldenDigests:
+    def test_service_fixture_block_signature(self, service):
+        assert service.directory.block_signature() == GOLDEN_BLOCK_SIGNATURE
+
+    def test_in_process_answers_digest(self, service):
+        assert replay(service, GOLDEN_CONFIG).answers_digest == GOLDEN_ANSWERS_DIGEST
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_cluster_answers_digest(self, service, workers):
+        with ClusterService.from_service(
+            service, workers=workers, capacity=1024
+        ) as cluster:
+            stats = replay(cluster, GOLDEN_CONFIG)
+        assert stats.answers_digest == GOLDEN_ANSWERS_DIGEST
 
 
 class TestClusterInvariance:
@@ -295,6 +303,124 @@ class TestIngestSwap:
             want = full.route_many(src, dst, RelayType.COR, 3)
             got = cluster.route_many(src, dst, RelayType.COR, 3)
             assert np.array_equal(got.relay_ids, want.relay_ids)
+
+
+class TestRowSplit:
+    """Row spans: uneven, empty, chunked and full-width batches."""
+
+    def _assert_same(self, got, want):
+        assert np.array_equal(got.relay_ids, want.relay_ids)
+        assert np.array_equal(got.tier, want.tier)
+        assert np.array_equal(got.reduction_ms, want.reduction_ms, equal_nan=True)
+
+    def test_one_query_with_three_workers(self, service):
+        src, dst = _sample_codes(service, n=1)
+        with ClusterService.from_service(service, workers=3) as cluster:
+            got = cluster.route_many(src, dst, RelayType.COR, 3)
+            # two of the three spans are empty and never dispatched
+            assert cluster.scale_out_summary()["dispatches"] == 1
+        self._assert_same(got, service.route_many(src, dst, RelayType.COR, 3))
+
+    def test_batch_larger_than_capacity(self, service):
+        src, dst = _sample_codes(service, n=1024)
+        with ClusterService.from_service(
+            service, workers=2, capacity=100
+        ) as cluster:
+            got = cluster.route_many(src, dst, RelayType.COR, 3)
+            summary = cluster.scale_out_summary()
+        self._assert_same(got, service.route_many(src, dst, RelayType.COR, 3))
+        assert summary["queries"] == 1024
+        assert summary["dispatches"] == 2 * 11  # ceil(1024 / 100) chunks
+
+    def test_k_equal_to_answer_width(self, service):
+        src, dst = _sample_codes(service, n=300)
+        with ClusterService.from_service(service, workers=2) as cluster:
+            max_k = 16
+            got = cluster.route_many(src, dst, RelayType.COR, max_k)
+            with pytest.raises(ServiceError, match="answer-buffer width"):
+                cluster.route_many(src, dst, RelayType.COR, max_k + 1)
+        self._assert_same(
+            got, service.route_many(src, dst, RelayType.COR, max_k)
+        )
+
+    def test_empty_batch(self, service):
+        empty = np.empty(0, np.int64)
+        with ClusterService.from_service(service, workers=2) as cluster:
+            got = cluster.route_many(empty, empty, RelayType.COR, 3)
+            assert cluster.scale_out_summary()["dispatches"] == 0
+        assert got.relay_ids.shape == (0, 3)
+        self._assert_same(got, service.route_many(empty, empty, RelayType.COR, 3))
+
+
+class TestDegradationCounters:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counters_equal_in_process(self, small_campaign_result, workers):
+        rounds = small_campaign_result.rounds
+
+        def partial():
+            return ShortcutService.from_campaign(
+                small_campaign_result, rounds=rounds[:-1], liveness_rounds=1
+            )
+
+        local = partial()
+        config = LoadgenConfig(num_queries=3000, batch_size=256)
+        with ClusterService.from_service(partial(), workers=workers) as cluster:
+            for ingest in (None, rounds[-1]):
+                if ingest is not None:
+                    local.ingest_round(ingest)
+                    cluster.ingest_round(ingest)
+                want = replay(local, config)
+                got = replay(cluster, config)
+                assert got.answers_digest == want.answers_digest
+                assert cluster.degradation_summary() == local.degradation_summary()
+            summary = cluster.degradation_summary()
+        # the guard actually fired, so the equality is not vacuous
+        assert summary["queries"] == 6000
+        assert summary["candidates_evicted"] > 0
+
+
+class TestWorkerDeath:
+    """A dead worker fails the next call fast and never hangs close()."""
+
+    def _kill(self, cluster, widx):
+        os.kill(cluster._procs[widx].pid, signal.SIGKILL)
+
+    def _assert_fast_failure(self, call):
+        start = time.monotonic()
+        with pytest.raises(ServiceError, match=r"worker 1 died \(exit code -9\)"):
+            call()
+        assert time.monotonic() - start < 1.0
+
+    def _assert_prompt_close(self, cluster):
+        start = time.monotonic()
+        cluster.close()
+        assert time.monotonic() - start < 5.0
+
+    def test_kill_between_batches(self, service):
+        src, dst = _sample_codes(service, n=512)
+        cluster = ClusterService.from_service(service, workers=2)
+        try:
+            cluster.route_many(src, dst)
+            self._kill(cluster, 1)
+            self._assert_fast_failure(lambda: cluster.route_many(src, dst))
+            # a failed cluster refuses further work instead of pairing
+            # stale replies with new commands
+            with pytest.raises(ServiceError, match="failed"):
+                cluster.route_many(src, dst)
+        finally:
+            self._assert_prompt_close(cluster)
+
+    def test_kill_before_ingest(self, small_campaign_result):
+        rounds = small_campaign_result.rounds
+        partial = ShortcutService.from_campaign(
+            small_campaign_result, rounds=rounds[:-1]
+        )
+        cluster = ClusterService.from_service(partial, workers=2)
+        try:
+            self._kill(cluster, 1)
+            self._assert_fast_failure(lambda: cluster.ingest_round(rounds[-1]))
+        finally:
+            self._assert_prompt_close(cluster)
 
 
 class TestCrossWorld:
