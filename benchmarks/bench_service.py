@@ -7,7 +7,10 @@ ingest, the ``.npz`` snapshot round-trip, a Zipf-shaped traffic replay
 measuring sustained batched queries/sec, and the multi-process
 cluster (1 vs 2 workers, scored on CPU-clock critical paths — see
 ``benchmarks/README.md`` for why wall clocks cannot measure scale-out on
-shared-core CI hosts).  Writes ``BENCH_service.json`` at the repo root so
+shared-core CI hosts).  A full-world leg (seed-11 world, 6-round
+history, 131 endpoints) records throughput, per-batch latency p50/p99
+and the answers digest on a directory of realistic size.  Writes
+``BENCH_service.json`` at the repo root, with the host it ran on, so
 future PRs have a serving-side perf trajectory next to the engine's
 ``BENCH_campaign.json``.
 
@@ -15,7 +18,9 @@ Run standalone with ``python benchmarks/bench_service.py`` or via pytest
 with the other benches.  ``--smoke --queries N --budget-factor F
 [--json-out PATH]`` compiles the directory and replays N queries,
 exiting non-zero if compile + replay exceed F times the recorded wall
-clocks (replay pro-rated to N queries) — CI's service-bench guard.
+clocks (replay pro-rated to N queries), then runs the full-world leg
+once and exits non-zero if its answers digest differs from the recorded
+one — CI's service-bench guard.
 """
 
 from __future__ import annotations
@@ -24,9 +29,13 @@ import argparse
 import importlib.util
 import io
 import json
+import os
 import pathlib
+import platform
 import sys
 import time
+
+import numpy as np
 
 if importlib.util.find_spec("repro") is None:  # bare checkout: src layout
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
@@ -50,6 +59,8 @@ REPEATS = 3  #: best-of-N for the timed sections (history built once)
 LIVENESS_ROUNDS = 2  #: health window of the churn-aware degradation leg
 CLUSTER_REPEATS = 5  #: interleaved 1-/2-worker replays for the scale-out ratio
 CLUSTER_BATCH_SIZE = 8192  #: bigger batches amortize the front's serial CPU
+FULL_WORLD_ROUNDS = 6  #: history of the full-world leg (131 endpoints)
+FULL_WORLD_QUERIES = 262_144  #: 256 batches of BATCH_SIZE
 
 _OUT_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_service.json"
 
@@ -62,6 +73,55 @@ def _build_history():
     )
     campaign = MeasurementCampaign(world, CampaignConfig(num_rounds=ROUNDS))
     return campaign.run()
+
+
+def _host() -> dict:
+    return {
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def _full_world_leg(repeats: int) -> dict:
+    """Replay the full-world directory: throughput, latency, digest.
+
+    The digest is a pure function of the world, the history and the
+    stream, so every repeat (and every host) must reproduce it; the
+    timings are the best repeat's.
+    """
+    start = time.perf_counter()
+    result = MeasurementCampaign(
+        build_world(seed=SEED), CampaignConfig(num_rounds=FULL_WORLD_ROUNDS)
+    ).run()
+    history_s = time.perf_counter() - start
+    start = time.perf_counter()
+    service = ShortcutService.from_campaign(result)
+    compile_s = time.perf_counter() - start
+    config = LoadgenConfig(num_queries=FULL_WORLD_QUERIES, batch_size=BATCH_SIZE)
+    runs = [replay(service, config) for _ in range(repeats)]
+    best = min(runs, key=lambda stats: stats.wall_clock_s)
+    directory = service.directory.stats()
+    return {
+        "workload": (
+            f"full world, seed {SEED}, {FULL_WORLD_ROUNDS}-round history; "
+            f"{FULL_WORLD_QUERIES} queries in {BATCH_SIZE}-batches, k=3, COR"
+        ),
+        "history_s": round(history_s, 3),
+        "compile_s": round(compile_s, 4),
+        "endpoints": directory["endpoints"],
+        "countries": directory["countries"],
+        "lookup_index_bytes": directory["lookup_index_bytes"],
+        "queries": best.queries,
+        "wall_clock_s": best.wall_clock_s,
+        "queries_per_s": best.queries_per_s,
+        "latency_p50_ms": best.latency_p50_ms,
+        "latency_p99_ms": best.latency_p99_ms,
+        "tier_counts": best.tier_counts,
+        "answers_digest": best.answers_digest,
+        "digests_agree": len({stats.answers_digest for stats in runs}) == 1,
+    }
 
 
 def run_bench() -> dict:
@@ -183,7 +243,10 @@ def run_bench() -> dict:
         "digest_match": len(digests) == 1,
     }
 
+    full_world = _full_world_leg(REPEATS)
+
     report = {
+        "host": _host(),
         "workload": (
             f"{COUNTRIES}-country world, seed {SEED}, {ROUNDS}-round history; "
             f"{QUERIES} queries in {BATCH_SIZE}-batches"
@@ -208,6 +271,7 @@ def run_bench() -> dict:
         "replay": best.as_dict(),
         "degradation": degradation_report,
         "cluster": cluster_report,
+        "full_world": full_world,
     }
     _OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -216,12 +280,14 @@ def run_bench() -> dict:
 def run_smoke(
     queries: int, budget_factor: float, json_out: str | None = None
 ) -> int:
-    """Compile + replay checked against the recorded wall clocks.
+    """Compile + replay checked against the recorded wall clocks, then
+    the full-world leg checked against the recorded answers digest.
 
     The budget is ``budget_factor x`` (recorded compile + recorded replay
     wall pro-rated to ``queries``) plus a 2 s grace for fixed costs; the
     history build is excluded from the budget (the campaign engine has its
-    own drift guard).  Returns a process exit code.
+    own drift guard).  The full-world check is exact and untimed.
+    Returns a process exit code.
     """
     recorded = json.loads(_OUT_PATH.read_text())
     replay_budget = (
@@ -243,6 +309,17 @@ def run_smoke(
         f"{recorded['compile_s']} s + pro-rated replay + 2 s grace); "
         f"{stats['queries_per_s']:,} queries/s -> {'OK' if ok else 'TOO SLOW'}"
     )
+    full_world = _full_world_leg(repeats=1)
+    digest_ok = (
+        full_world["answers_digest"] == recorded["full_world"]["answers_digest"]
+    )
+    print(
+        f"smoke: full world ({full_world['endpoints']} endpoints) "
+        f"{full_world['queries_per_s']:,} queries/s, batch latency p50 "
+        f"{full_world['latency_p50_ms']} ms p99 {full_world['latency_p99_ms']} "
+        f"ms; answers digest {full_world['answers_digest']} -> "
+        f"{'OK' if digest_ok else 'DIFFERS from the recorded one'}"
+    )
     if json_out is not None:
         summary = {
             "queries": queries,
@@ -252,10 +329,11 @@ def run_smoke(
             "queries_per_s": stats["queries_per_s"],
             "relay_answer_frac": stats["relay_answer_frac"],
             "tier_counts": stats["tier_counts"],
-            "ok": ok,
+            "full_world": full_world,
+            "ok": ok and digest_ok,
         }
         pathlib.Path(json_out).write_text(json.dumps(summary, indent=2) + "\n")
-    return 0 if ok else 1
+    return 0 if ok and digest_ok else 1
 
 
 def test_service_bench(report_sink):
@@ -284,7 +362,10 @@ def test_service_bench(report_sink):
         f"{cluster['single_worker']['aggregate_queries_per_s']:,.0f} q/s, "
         f"2 workers "
         f"{cluster['two_workers']['aggregate_queries_per_s']:,.0f} q/s "
-        f"(speedup {cluster['speedup']}x, efficiency {cluster['efficiency']}) "
+        f"(speedup {cluster['speedup']}x, efficiency {cluster['efficiency']})\n"
+        f"full world: {report['full_world']['queries_per_s']:,} queries/s, "
+        f"batch latency p50 {report['full_world']['latency_p50_ms']} ms p99 "
+        f"{report['full_world']['latency_p99_ms']} ms "
         f"(written to {_OUT_PATH.name})",
     )
     # the acceptance floor: the tiny world must sustain >= 100k batched
@@ -298,6 +379,7 @@ def test_service_bench(report_sink):
     # target is >= 1.6x at 2 workers, asserted here with flake headroom
     assert cluster["digest_match"]
     assert cluster["speedup"] >= 1.3
+    assert report["full_world"]["digests_agree"]
 
 
 if __name__ == "__main__":

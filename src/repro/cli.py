@@ -510,9 +510,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     tiers = stats.tier_counts
     print(
         f"  replay: {stats.queries} queries x k={config.k} in "
-        f"{stats.wall_clock_s} s -> {stats.queries_per_s:,} queries/s "
-        f"(tiers: pair {tiers['pair']}, country {tiers['country']}, "
-        f"direct {tiers['direct']}; relay answers "
+        f"{stats.wall_clock_s} s -> {stats.queries_per_s:,} queries/s, "
+        f"batch latency p50 {stats.latency_p50_ms} ms p99 "
+        f"{stats.latency_p99_ms} ms (tiers: pair {tiers['pair']}, "
+        f"country {tiers['country']}, direct {tiers['direct']}; relay answers "
         f"{100 * stats.relay_answer_frac:.1f}%)",
         file=sys.stderr,
     )

@@ -269,7 +269,7 @@ def csr_top_k(
     Returns one ``(m, k)`` array per entry column, padded with the
     corresponding fill value past a lane's entry count; rows with
     ``lane_rows == -1`` are entirely padding.  Shared by
-    :meth:`LaneHistory.top_k` and the service's ``LaneBlock.top_k``.
+    :meth:`LaneHistory.top_k` and the service's slot-index lookup.
 
     Raises:
         AnalysisError: if ``k`` is not positive.
@@ -277,20 +277,21 @@ def csr_top_k(
     if k < 1:
         raise AnalysisError(f"k must be >= 1, got {k}")
     m = lane_rows.shape[0]
-    out = tuple(
-        np.full((m, k), fill, col.dtype) for col, fill in zip(columns, fills)
-    )
     if m == 0 or int(indptr[-1]) == 0:
-        return out
+        return tuple(
+            np.full((m, k), fill, col.dtype) for col, fill in zip(columns, fills)
+        )
     safe = np.maximum(lane_rows, 0)
-    starts = indptr[safe]
-    lengths = np.where(lane_rows >= 0, indptr[safe + 1] - starts, 0)
-    offsets = np.arange(k)[np.newaxis, :]
+    starts = indptr.take(safe)
+    lengths = np.where(lane_rows >= 0, indptr.take(safe + 1) - starts, 0)
+    offsets = np.arange(k)
     take = offsets < lengths[:, np.newaxis]
-    idx = starts[:, np.newaxis] + np.where(take, offsets, 0)
-    for col, dst in zip(columns, out):
-        dst[take] = col[idx][take]
-    return out
+    # padding cells read entry 0 and are then overwritten by the fill
+    idx = np.where(take, starts[:, np.newaxis] + offsets, 0)
+    return tuple(
+        np.where(take, col.take(idx), np.asarray(fill, col.dtype))
+        for col, fill in zip(columns, fills)
+    )
 
 
 def _first_max_per_segment(

@@ -24,6 +24,18 @@ whole directory from the retained rounds, because every lane's statistics
 are reduced from the same per-round rows in the same ascending-round
 order either way (asserted in ``tests/test_service.py``).
 
+Queries resolve through a per-relay-type **slot index**, compiled from
+the blocks by the first lookup of that type: one dense ``int32`` array
+with a cell per ``(src, dst)`` endpoint-code pair (the unknown code -1
+has its own row and column) holding the pair lane, else the country
+lane, else the direct sentinel, beside one CSR concatenating the two
+tiers' ranked entries.  A batch is then one slot gather, one
+:func:`~repro.core.oracle.csr_top_k` and one tier gather.  The slot
+array costs ``4·(E+1)²`` bytes per queried type for E endpoints, and
+the CSR copy 12 bytes per entry (``stats()["lookup_index_bytes"]``).
+The index is derived state: any change to the blocks or the endpoint
+pool drops it, and it is never persisted.
+
 Snapshots (:meth:`save` / :meth:`load`) are a single ``.npz`` of flat
 arrays: the string pools, the per-round lane rows and the retention
 configuration.  Loading replays a full recompile, so a restored directory
@@ -130,25 +142,6 @@ class LaneBlock:
     def num_lanes(self) -> int:
         return self.keys.shape[0]
 
-    def lane_index(self, keys: np.ndarray) -> np.ndarray:
-        """Per query key: the lane's row, or -1 when unknown."""
-        if self.keys.size == 0:
-            return np.full(keys.shape, -1, np.intp)
-        pos = np.searchsorted(self.keys, keys)
-        pos_c = np.minimum(pos, self.keys.size - 1)
-        return np.where(self.keys[pos_c] == keys, pos_c, -1)
-
-    def top_k(self, lane_rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(m, k)`` ranked relays and expected reductions per lane row.
-
-        Relays pad with -1 and reductions with NaN past a lane's candidate
-        count; rows with ``lane_rows == -1`` are entirely padding.
-        """
-        return csr_top_k(
-            self.indptr, lane_rows, k,
-            (self.relays, self.reduction_ms), (-1, np.nan),
-        )
-
     def equal(self, other: LaneBlock) -> bool:
         """Exact array equality (used by the incremental-vs-full tests)."""
         return (
@@ -157,6 +150,81 @@ class LaneBlock:
             and np.array_equal(self.relays, other.relays)
             and np.array_equal(self.counts, other.counts)
             and np.array_equal(self.reduction_ms, other.reduction_ms, equal_nan=True)
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class _SlotIndex:
+    """One relay type's tier resolution, compiled for one gather per query.
+
+    Attributes:
+        slots: ``((E+1)**2,) int32`` answer slot per ``(src+1, dst+1)``
+            cell, row-major; E is the directory's endpoint count and row
+            and column 0 hold the unknown code -1.
+        indptr: ``(S+1,) int64`` CSR pointer over the slots: the pair
+            lanes, then the country lanes.  Slot -1 is the direct
+            sentinel, which :func:`~repro.core.oracle.csr_top_k` answers
+            with padding.
+        relays: ``(N,) int32`` ranked relays of every slot, concatenated.
+        reduction_ms: ``(N,) float64`` expected reductions, aligned.
+        tiers: ``(S+1,) int8`` tier each slot answers from; the last
+            entry is :data:`TIER_DIRECT`, so the sentinel -1 gathers it.
+    """
+
+    slots: np.ndarray
+    indptr: np.ndarray
+    relays: np.ndarray
+    reduction_ms: np.ndarray
+    tiers: np.ndarray
+
+    @classmethod
+    def build(
+        cls, pair: LaneBlock, country: LaneBlock, endpoint_cc: np.ndarray
+    ) -> _SlotIndex:
+        """Resolve every endpoint pair through pair, country, then direct."""
+        num_pair, num_cc = pair.num_lanes, country.num_lanes
+        side = endpoint_cc.size + 1
+        slots = np.full((side, side), -1, np.int32)
+        inner = slots[1:, 1:]
+        if num_cc:
+            cc = endpoint_cc.astype(np.int64)
+            keys = _pack(cc[:, np.newaxis], cc[np.newaxis, :])
+            pos = np.minimum(np.searchsorted(country.keys, keys), num_cc - 1)
+            known = cc >= 0
+            hit = (
+                (country.keys[pos] == keys)
+                & known[:, np.newaxis]
+                & known[np.newaxis, :]
+            )
+            inner[hit] = num_pair + pos[hit]
+        if num_pair:
+            lo = pair.keys >> 32
+            hi = pair.keys & 0xFFFFFFFF
+            rows = np.arange(num_pair, dtype=np.int32)
+            inner[lo, hi] = rows
+            inner[hi, lo] = rows
+        np.fill_diagonal(inner, -1)
+        tiers = np.full(num_pair + num_cc + 1, TIER_DIRECT, np.int8)
+        tiers[:num_pair] = TIER_PAIR
+        tiers[num_pair:-1] = TIER_COUNTRY
+        return cls(
+            slots=slots.ravel(),
+            indptr=np.concatenate(
+                (pair.indptr, country.indptr[1:] + pair.indptr[-1])
+            ),
+            relays=np.concatenate((pair.relays, country.relays)),
+            reduction_ms=np.concatenate((pair.reduction_ms, country.reduction_ms)),
+            tiers=tiers,
+        )
+
+    @property
+    def nbytes(self) -> int:
+        return sum(
+            arr.nbytes
+            for arr in (
+                self.slots, self.indptr, self.relays, self.reduction_ms,
+                self.tiers,
+            )
         )
 
 
@@ -254,6 +322,9 @@ class RelayDirectory:
         # insertion order == ascending round id (enforced by ingest_round)
         self._rounds: dict[int, dict[tuple[int, int], tuple[np.ndarray, ...]]] = {}
         self._blocks: dict[tuple[int, int], LaneBlock] = {}
+        # relay type code -> slot index over _blocks and _endpoint_cc, built
+        # by the first lookup of that type; dropped whenever either changes
+        self._lookup: dict[int, _SlotIndex] = {}
         # relay registry idx -> newest round id whose improving entries
         # contained it: the liveness signal behind stale_relay_mask.  Kept
         # across eviction (like endpoint identities) so health questions
@@ -328,6 +399,7 @@ class RelayDirectory:
         source: RoundResult | ObservationTable,
         round_id: int | None = None,
     ) -> dict[str, int]:
+        self._lookup.clear()
         if isinstance(source, RoundResult):
             table = source.table
             rid = source.round_index if round_id is None else round_id
@@ -492,6 +564,7 @@ class RelayDirectory:
         with obs.span("service.directory.recompile"):
             keys = sorted({key for agg in self._rounds.values() for key in agg})
             self._blocks = {}
+            self._lookup.clear()
             for tier, type_code in keys:
                 self._recompute(tier, type_code)
 
@@ -517,6 +590,11 @@ class RelayDirectory:
         int8)`` — -1/NaN padded, with :data:`TIER_DIRECT` rows entirely
         padding (keep the direct path).
 
+        Each query is one cell of the relay type's slot index (built on
+        first use): one gather finds its answer slot, one
+        :func:`~repro.core.oracle.csr_top_k` reads the slot's ranked
+        candidates and one more gather its tier.
+
         Raises:
             EmptyDirectoryError: when no round was ever ingested — there
                 is no history to resolve against, distinct from a miss.
@@ -525,37 +603,22 @@ class RelayDirectory:
         """
         if k < 1:
             raise ServiceError(f"k must be >= 1, got {k}")
-        src, dst = validate_query_codes(
-            src_codes, dst_codes, len(self._endpoint_cc)
-        )
-        n = src.shape[0]
-        relays = np.full((n, k), -1, np.int32)
-        reductions = np.full((n, k), np.nan)
-        tier = np.full(n, TIER_DIRECT, np.int8)
-        unresolved = (src >= 0) & (dst >= 0) & (src != dst)
+        side = len(self._endpoint_cc) + 1
+        src, dst = validate_query_codes(src_codes, dst_codes, side - 1)
         code = RELAY_TYPE_ORDER.index(relay_type)
-
-        pair_block = self._blocks.get((TIER_PAIR, code))
-        if pair_block is not None and pair_block.num_lanes and unresolved.any():
-            rows = pair_block.lane_index(_pack(src, dst))
-            hit = unresolved & (rows >= 0)
-            if hit.any():
-                r, g = pair_block.top_k(rows[hit], k)
-                relays[hit], reductions[hit] = r, g
-                tier[hit] = TIER_PAIR
-                unresolved &= ~hit
-
-        cc_block = self._blocks.get((TIER_COUNTRY, code))
-        if cc_block is not None and cc_block.num_lanes and unresolved.any():
-            scc = self._endpoint_cc[np.maximum(src, 0)]
-            dcc = self._endpoint_cc[np.maximum(dst, 0)]
-            rows = cc_block.lane_index(_pack(scc, dcc))
-            hit = unresolved & (rows >= 0) & (scc >= 0) & (dcc >= 0)
-            if hit.any():
-                r, g = cc_block.top_k(rows[hit], k)
-                relays[hit], reductions[hit] = r, g
-                tier[hit] = TIER_COUNTRY
-        return relays, reductions, tier
+        index = self._lookup.get(code)
+        if index is None:
+            index = self._lookup[code] = _SlotIndex.build(
+                self._blocks.get((TIER_PAIR, code), LaneBlock.empty()),
+                self._blocks.get((TIER_COUNTRY, code), LaneBlock.empty()),
+                self._endpoint_cc,
+            )
+        slot = index.slots[(src + 1) * side + (dst + 1)]
+        relays, reductions = csr_top_k(
+            index.indptr, slot, k,
+            (index.relays, index.reduction_ms), (-1, np.nan),
+        )
+        return relays, reductions, index.tiers[slot]
 
     # ----------------------------------------------------------------- health
 
@@ -646,7 +709,8 @@ class RelayDirectory:
         return list(self._rounds)
 
     def stats(self) -> dict[str, Any]:
-        """Shape summary: pools, retained rounds, lanes per tier and type."""
+        """Shape summary: pools, retained rounds, lanes per tier and type,
+        and the bytes of the slot indexes lookups have built so far."""
         lanes = {
             f"lanes_{TIER_NAMES[tier]}_{relay_type.value}": self._blocks.get(
                 (tier, code), LaneBlock.empty()
@@ -660,6 +724,7 @@ class RelayDirectory:
             "retained_rounds": self.retained_rounds(),
             "max_rounds": self.max_rounds,
             "relays_seen": len(self._relay_last_seen),
+            "lookup_index_bytes": sum(i.nbytes for i in self._lookup.values()),
             **lanes,
         }
 

@@ -16,8 +16,9 @@ disjoint block ranges in parallel and the concatenated stream is
 byte-identical regardless of the worker count (asserted in the tests).
 
 :func:`replay` drives a :class:`~repro.service.service.ShortcutService`
-with the stream in batches, measuring sustained queries/sec and the tier
-mix, and digests the answers so two replays can be compared exactly.
+with the stream in batches, measuring sustained queries/sec, the latency
+of each batch and the tier mix, and digests the answers so two replays
+can be compared exactly.
 """
 
 from __future__ import annotations
@@ -232,11 +233,11 @@ def replay(
     """Synthesise a query stream and drive the service with it, batched.
 
     Synthesis is excluded from the timed section; the measured loop is
-    exactly ``route_many`` over consecutive batches.  Returns a
-    :class:`~repro.service.results.ServiceStats`: sustained queries/sec,
-    the tier mix, the fraction of queries answered with a relay, and a
-    BLAKE2 digest of every answer (relay ids + tiers) for exact
-    cross-run comparison.  (``ServiceStats`` also supports the old
+    exactly ``route_many`` over consecutive batches, each call timed on
+    its own.  Returns a :class:`~repro.service.results.ServiceStats`:
+    sustained queries/sec, per-batch latency p50/p99, the tier mix, the
+    fraction of queries answered with a relay, and a BLAKE2 digest of
+    every answer (relay ids + tiers) for exact cross-run comparison.  (``ServiceStats`` also supports the old
     replay-dict ``stats["key"]`` access.)
 
     Works on anything with the service query surface: an in-process
@@ -249,6 +250,8 @@ def replay(
     stream = QueryStream(service.directory, config)
     src, dst = stream.generate()
     n = src.shape[0]
+    batches = -(-n // config.batch_size)
+    latencies = np.empty(batches)
     tier_counts = np.zeros(len(TIER_NAMES), np.int64)
     no_relay = 0
     digest = hashlib.blake2b(digest_size=16)
@@ -257,25 +260,32 @@ def replay(
         reset_clocks()
     start = time.perf_counter()
     with obs.span("loadgen.replay"):
-        for lo in range(0, n, config.batch_size):
+        for index, lo in enumerate(range(0, n, config.batch_size)):
             hi = min(lo + config.batch_size, n)
+            called = time.perf_counter()
             batch = service.route_many(
                 src[lo:hi], dst[lo:hi], config.relay_type, config.k
             )
+            latencies[index] = time.perf_counter() - called
             tier_counts += np.bincount(batch.tier, minlength=len(TIER_NAMES))
             no_relay += int(np.count_nonzero(batch.relay_ids[:, 0] < 0))
             digest.update(batch.relay_ids.tobytes())
             digest.update(batch.tier.tobytes())
     wall = time.perf_counter() - start
     obs.inc("loadgen.queries", n)
-    obs.inc("loadgen.batches", -(-n // config.batch_size) if n else 0)
+    obs.inc("loadgen.batches", batches)
     obs.set_gauge("loadgen.batch_size", config.batch_size)
     degradation = getattr(service, "degradation_summary", lambda: None)()
     scale_out = getattr(service, "scale_out_summary", lambda: None)()
+    p50_ms, p99_ms = (
+        np.round(1e3 * np.percentile(latencies, (50, 99)), 4).tolist()
+        if n
+        else (None, None)
+    )
     return ServiceStats(
         queries=n,
         batch_size=config.batch_size,
-        batches=-(-n // config.batch_size),
+        batches=batches,
         k=config.k,
         relay_type=config.relay_type.value,
         zipf_exponent=config.zipf_exponent,
@@ -288,6 +298,8 @@ def replay(
         },
         relay_answer_frac=round(1.0 - no_relay / n, 4) if n else None,
         answers_digest=digest.hexdigest(),
+        latency_p50_ms=p50_ms,
+        latency_p99_ms=p99_ms,
         degradation=degradation,
         scale_out=scale_out,
     )

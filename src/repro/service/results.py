@@ -8,10 +8,10 @@ call volume:
   path and must never materialize per-query objects;
 * :class:`RouteAnswer` — one scalar :meth:`route` decision, a frozen
   dataclass callers can log or assert on field by field;
-* :class:`ServiceStats` — one replay's summary (throughput, tier mix,
-  degradation counters, scale-out accounting), attribute-typed but with
-  a read-only mapping bridge so JSON-minded callers can keep indexing
-  it like the dict it used to be.
+* :class:`ServiceStats` — one replay's summary (throughput, per-batch
+  latency, tier mix, degradation counters, scale-out accounting),
+  attribute-typed but with a read-only mapping bridge so JSON-minded
+  callers can keep indexing it like the dict it used to be.
 
 :class:`DegradationCounters` is the churn-awareness telemetry the
 service accumulates (see :mod:`repro.service.service`).
@@ -180,6 +180,9 @@ class ServiceStats:
         relay_answer_frac: Fraction of queries that got a relay.
         answers_digest: BLAKE2 digest of every answer (relay ids +
             tiers) for exact cross-run comparison.
+        latency_p50_ms / latency_p99_ms: Median and 99th-percentile
+            wall-clock latency of one ``route_many`` call, in ms (None
+            on empty streams).
         degradation: Degradation-counter dict when churn awareness was
             on (None otherwise).
         scale_out: Cluster scale-out accounting when the replay drove a
@@ -200,6 +203,8 @@ class ServiceStats:
     tier_counts: dict[str, int]
     relay_answer_frac: float | None
     answers_digest: str
+    latency_p50_ms: float | None = None
+    latency_p99_ms: float | None = None
     degradation: dict[str, int] | None = None
     scale_out: dict[str, Any] | None = None
     _extra: dict[str, Any] = field(default_factory=dict, repr=False)
@@ -220,6 +225,8 @@ class ServiceStats:
             "tier_counts": dict(self.tier_counts),
             "relay_answer_frac": self.relay_answer_frac,
             "answers_digest": self.answers_digest,
+            "latency_p50_ms": self.latency_p50_ms,
+            "latency_p99_ms": self.latency_p99_ms,
         }
         if self.degradation is not None:
             out["degradation"] = dict(self.degradation)

@@ -9,26 +9,70 @@ the worker count.
 
 from __future__ import annotations
 
+import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
 
 from repro.core.oracle import RelayPredictor
 from repro.core.results import PairObservation
+from repro.core.table import ObservationTable
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
-from repro.errors import ServiceError
+from repro.errors import EmptyDirectoryError, ServiceError, UnknownEndpointError
 from repro.service import (
     TIER_COUNTRY,
     TIER_DIRECT,
     TIER_NAMES,
     TIER_PAIR,
+    LaneBlock,
     LoadgenConfig,
     QueryStream,
     RelayDirectory,
     ShortcutService,
     replay,
 )
+from repro.service.cluster import save_cluster_snapshot
+
+#: Answers of the ``service`` fixture over every ``(src, dst)`` cell of its
+#: endpoint codes, -1 included: a BLAKE2 digest of relay ids, reductions
+#: and tiers per relay type and k.  Recorded before the slot-index lookup
+#: existed, so they pin the answers independently of it.
+GOLDEN_GRID_DIGESTS = {
+    ("COR", 1): "625666d369d67a22ac5afaaee33d4ece",
+    ("COR", 3): "208dcd14b1bb50aacafed1387c83d096",
+    ("COR", 16): "fe634f9934e80e2df85dcb14e21036a0",
+    ("PLR", 1): "d0df84b8af1b35b42a24793becfe408f",
+    ("PLR", 3): "3c05fb050c83def174517c463a24672a",
+    ("PLR", 16): "e135e4186b7c92160a331d03e78c231f",
+    ("RAR_OTHER", 1): "3f2d08ed6d5ab27e9f8d266ff45521b4",
+    ("RAR_OTHER", 3): "5713e310852cc8bdee8f1ddb666bd0e9",
+    ("RAR_OTHER", 16): "c6db150d76dc95434e6ff3f010aba009",
+    ("RAR_EYE", 1): "e90c39131e9c9cb6d3e040860d0e6ced",
+    ("RAR_EYE", 3): "5d23e7cc45ccaf1f91ac7be7a40b32e2",
+    ("RAR_EYE", 16): "555b1a576cf38cf14f0ca4c87bd90cbb",
+}
+#: The same grid through the liveness-guarded path (``liveness_rounds=1``),
+#: k = 1, 3 and 16 in turn per relay type, and the degradation counters
+#: one guarded service accumulates over all four types.
+GOLDEN_GUARDED_DIGESTS = {
+    "COR": "f910b3c1e79bcec9dac980e96ba63a14",
+    "PLR": "d037337c1d00827d7e834471dfc8fdab",
+    "RAR_OTHER": "f7c47467ac2d1efe4f033809a20f638c",
+    "RAR_EYE": "16233cd12a944dddd4ac71dcd35eaef9",
+}
+GOLDEN_GUARDED_COUNTERS = {
+    "queries": 5808,
+    "stale_top_answers": 1164,
+    "candidates_evicted": 3916,
+    "unanswerable": 580,
+    "fallback_country": 694,
+    "direct": 3142,
+}
+#: BLAKE2 digests of the fixture's v2 (``save``) and v4 (cluster) snapshots.
+GOLDEN_V2_SNAPSHOT = "2fc2cdd61204de73ff0ae7fc6c9324dd"
+GOLDEN_V4_SNAPSHOT = "5ef23093ca28645d208c1690d5e66d08"
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +88,55 @@ def _snapshot_bytes(svc: ShortcutService) -> bytes:
 
 def _unpack(key: int) -> tuple[int, int]:
     return int(key) >> 32, int(key) & 0xFFFFFFFF
+
+
+def _blake(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def _grid(directory: RelayDirectory) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(src, dst)`` pair of endpoint codes, -1 included."""
+    codes = np.arange(-1, len(directory.endpoint_ids()), dtype=np.int64)
+    src, dst = np.meshgrid(codes, codes, indexing="ij")
+    return src.ravel(), dst.ravel()
+
+
+def _grid_digest(svc, relay_type: RelayType, ks) -> str:
+    src, dst = _grid(svc.directory)
+    digest = hashlib.blake2b(digest_size=16)
+    for k in ks:
+        batch = svc.route_many(src, dst, relay_type, k)
+        assert batch.relay_ids.dtype == np.int32
+        assert batch.reduction_ms.dtype == np.float64
+        assert batch.tier.dtype == np.int8
+        for arr in (batch.relay_ids, batch.reduction_ms, batch.tier):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def _all_blocks(directory: RelayDirectory, tiers=(TIER_PAIR, TIER_COUNTRY)):
+    return {
+        (tier, code): directory.block(tier, relay_type)
+        for tier in tiers
+        for code, relay_type in enumerate(RELAY_TYPE_ORDER)
+    }
+
+
+def _lane_row(block, key: int) -> int:
+    pos = int(np.searchsorted(block.keys, key))
+    return pos if pos < block.num_lanes and int(block.keys[pos]) == key else -1
+
+
+def _assert_same_answers(a, b) -> None:
+    assert np.array_equal(a.relay_ids, b.relay_ids)
+    assert np.array_equal(a.reduction_ms, b.reduction_ms, equal_nan=True)
+    assert np.array_equal(a.tier, b.tier)
+
+
+def _answers_by_ids(svc, ids, relay_type, k=3):
+    codes = svc.encode_endpoints(ids)
+    src, dst = np.meshgrid(codes, codes, indexing="ij")
+    return svc.route_many(src.ravel(), dst.ravel(), relay_type, k)
 
 
 class TestDirectoryCompile:
@@ -95,8 +188,9 @@ class TestDirectoryCompile:
         block = directory.block(TIER_COUNTRY, RelayType.COR)
         names = directory.countries()
         assert block.num_lanes > 0
-        relays, _ = block.top_k(np.arange(block.num_lanes), 5)
         for lane in range(block.num_lanes):
+            start = int(block.indptr[lane])
+            ranked = block.relays[start:int(block.indptr[lane + 1])][:5]
             lo, hi = _unpack(block.keys[lane])
             probe = PairObservation(
                 round_index=0, e1_id="x", e2_id="y",
@@ -105,7 +199,7 @@ class TestDirectoryCompile:
                 best_by_type={}, improving_by_type={}, feasible_by_type={},
             )
             expected = predictor.predict(probe, 5)
-            assert [int(r) for r in relays[lane] if r >= 0] == expected
+            assert ranked.tolist() == expected
 
     def test_expected_reduction_is_mean_gain(self, small_campaign_result, service):
         """Reductions equal the mean observed improvement per (lane, relay)."""
@@ -126,6 +220,29 @@ class TestDirectoryCompile:
                 assert block.reduction_ms[pos] == pytest.approx(
                     sum(gains) / len(gains), rel=1e-12
                 )
+
+    def test_lookup_index_bytes(self, small_campaign_result):
+        """Indexes are built per queried relay type, once, and dropped
+        when the compiled blocks change."""
+        svc = ShortcutService.from_result(small_campaign_result)
+        directory = svc.directory
+        assert directory.stats()["lookup_index_bytes"] == 0
+        src, dst = _grid(directory)
+        side = len(directory.endpoint_ids()) + 1
+        expected = 0
+        for relay_type in (RelayType.COR, RelayType.PLR):
+            svc.route_many(src, dst, relay_type, 3)
+            pair = directory.block(TIER_PAIR, relay_type)
+            country = directory.block(TIER_COUNTRY, relay_type)
+            slots = pair.num_lanes + country.num_lanes
+            entries = pair.relays.size + country.relays.size
+            # slot array + indptr + relays/reductions + per-slot tiers
+            expected += 4 * side**2 + 8 * (slots + 1) + 12 * entries + slots + 1
+            assert directory.stats()["lookup_index_bytes"] == expected
+        svc.route_many(src, dst, RelayType.COR, 16)
+        assert directory.stats()["lookup_index_bytes"] == expected
+        directory.recompile()
+        assert directory.stats()["lookup_index_bytes"] == 0
 
     def test_stats_shape(self, service):
         stats = service.stats()
@@ -234,7 +351,250 @@ class TestQueries:
         assert batch.best_relay.shape == (len(batch),)
 
 
+class TestGoldenAnswers:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_GRID_DIGESTS))
+    def test_grid_digest(self, service, key):
+        relay_type = RelayType[key[0]]
+        assert _grid_digest(service, relay_type, (key[1],)) == (
+            GOLDEN_GRID_DIGESTS[key]
+        )
+
+    def test_guarded_grid_digests_and_counters(self, service):
+        guarded = ShortcutService.from_directory(
+            service.directory, liveness_rounds=1
+        )
+        for relay_type in RELAY_TYPE_ORDER:
+            assert _grid_digest(guarded, relay_type, (1, 3, 16)) == (
+                GOLDEN_GUARDED_DIGESTS[relay_type.value]
+            )
+        assert guarded.degradation_summary() == GOLDEN_GUARDED_COUNTERS
+
+
+class TestLookupEdges:
+    def test_unknown_and_same_endpoint_are_direct(self, service):
+        n = len(service.directory.endpoint_ids())
+        src = np.array([-1, 0, -1, 3, n - 1, 5], np.int64)
+        dst = np.array([0, -1, -1, 3, n - 1, 5], np.int64)
+        for relay_type in RELAY_TYPE_ORDER:
+            batch = service.route_many(src, dst, relay_type, k=4)
+            assert np.all(batch.tier == TIER_DIRECT)
+            assert np.all(batch.relay_ids == -1)
+            assert np.isnan(batch.reduction_ms).all()
+
+    def test_endpoint_without_country_skips_country_tier(self, service):
+        """An endpoint whose country is unknown still resolves through its
+        pair lanes, and otherwise goes direct, never to a country lane."""
+        directory = service.directory
+        base_cc = directory.endpoint_country_codes()
+        n = base_cc.size
+        codes = np.arange(n, dtype=np.int64)
+        pair_hits = country_lost = 0
+        for x in range(n):
+            cc = base_cc.copy()
+            cc[x] = -1
+            view = ShortcutService.from_directory(
+                RelayDirectory.segment_view(
+                    blocks=_all_blocks(directory), endpoint_cc=cc
+                )
+            )
+            src = np.concatenate([np.full(n, x), codes])
+            dst = np.concatenate([codes, np.full(n, x)])
+            for relay_type in RELAY_TYPE_ORDER:
+                want = service.route_many(src, dst, relay_type, 3)
+                got = view.route_many(src, dst, relay_type, 3)
+                via_pair = want.tier == TIER_PAIR
+                assert np.array_equal(got.tier[via_pair], want.tier[via_pair])
+                assert np.array_equal(
+                    got.relay_ids[via_pair], want.relay_ids[via_pair]
+                )
+                assert np.all(got.tier[~via_pair] == TIER_DIRECT)
+                assert np.all(got.relay_ids[~via_pair] == -1)
+                pair_hits += int(via_pair.sum())
+                country_lost += int(np.count_nonzero(want.tier == TIER_COUNTRY))
+        assert pair_hits > 0 and country_lost > 0
+
+    def test_hand_built_lanes_resolve_by_priority(self):
+        """Pair lane over country lane, and a same-country lane never
+        answers an endpoint's query to itself."""
+        pack = ObservationTable.pack_pairs
+        pair = LaneBlock(
+            keys=pack(np.array([0]), np.array([1])),
+            indptr=np.array([0, 2]),
+            relays=np.array([4, 5], np.int32),
+            counts=np.array([2, 1], np.int32),
+            reduction_ms=np.array([9.0, 8.0]),
+        )
+        country = LaneBlock(
+            keys=pack(np.array([0]), np.array([0])),
+            indptr=np.array([0, 1]),
+            relays=np.array([7], np.int32),
+            counts=np.array([1], np.int32),
+            reduction_ms=np.array([3.0]),
+        )
+        view = RelayDirectory.segment_view(
+            blocks={
+                (TIER_PAIR, 0): pair,
+                (TIER_COUNTRY, 0): country,
+            },
+            endpoint_cc=np.array([0, 0, 0, -1], np.int32),
+        )
+        src = np.array([0, 1, 0, 2, 0, 2, 3, -1], np.int64)
+        dst = np.array([1, 0, 2, 1, 0, 2, 0, 1], np.int64)
+        relays, reductions, tier = view.lookup_many(src, dst, RelayType.COR, 2)
+        assert tier.tolist() == [
+            TIER_PAIR, TIER_PAIR, TIER_COUNTRY, TIER_COUNTRY,
+            TIER_DIRECT, TIER_DIRECT, TIER_DIRECT, TIER_DIRECT,
+        ]
+        assert relays.tolist() == [
+            [4, 5], [4, 5], [7, -1], [7, -1],
+            [-1, -1], [-1, -1], [-1, -1], [-1, -1],
+        ]
+        assert reductions[:2].tolist() == [[9.0, 8.0], [9.0, 8.0]]
+        assert reductions[2, 0] == 3.0 and np.isnan(reductions[2:, 1]).all()
+        other_type = view.lookup_many(src, dst, RelayType.PLR, 2)
+        assert np.all(other_type[2] == TIER_DIRECT)
+
+    def test_k_beyond_longest_lane_pads(self, service):
+        directory = service.directory
+        src, dst = _grid(directory)
+        for relay_type in RELAY_TYPE_ORDER:
+            longest = max(
+                int(np.diff(directory.block(tier, relay_type).indptr).max(initial=0))
+                for tier in (TIER_PAIR, TIER_COUNTRY)
+            )
+            exact = service.route_many(src, dst, relay_type, longest)
+            wide = service.route_many(src, dst, relay_type, longest + 3)
+            assert np.array_equal(wide.relay_ids[:, :longest], exact.relay_ids)
+            assert np.array_equal(
+                wide.reduction_ms[:, :longest], exact.reduction_ms, equal_nan=True
+            )
+            assert np.array_equal(wide.tier, exact.tier)
+            assert np.all(wide.relay_ids[:, longest:] == -1)
+            assert np.isnan(wide.reduction_ms[:, longest:]).all()
+            assert np.any(exact.relay_ids[:, 1] >= 0)
+
+    def test_country_only_directory(self, service):
+        """With no pair lanes, every resolvable query is a country hit
+        answered straight from its country lane's CSR."""
+        directory = service.directory
+        cc = directory.endpoint_country_codes()
+        view = ShortcutService.from_directory(
+            RelayDirectory.segment_view(
+                blocks=_all_blocks(directory, tiers=(TIER_COUNTRY,)),
+                endpoint_cc=cc,
+            )
+        )
+        src, dst = _grid(directory)
+        hits = 0
+        for relay_type in RELAY_TYPE_ORDER:
+            block = directory.block(TIER_COUNTRY, relay_type)
+            batch = view.route_many(src, dst, relay_type, 4)
+            for i, (a, b) in enumerate(zip(src.tolist(), dst.tolist())):
+                row = -1
+                if a >= 0 and b >= 0 and a != b:
+                    lo, hi = sorted((int(cc[a]), int(cc[b])))
+                    row = _lane_row(block, (lo << 32) | hi)
+                if row < 0:
+                    assert batch.tier[i] == TIER_DIRECT
+                    assert np.all(batch.relay_ids[i] == -1)
+                    continue
+                hits += 1
+                start, end = int(block.indptr[row]), int(block.indptr[row + 1])
+                want = block.relays[start:end][:4]
+                assert batch.tier[i] == TIER_COUNTRY
+                assert batch.relay_ids[i, : want.size].tolist() == want.tolist()
+                assert np.all(batch.relay_ids[i, want.size:] == -1)
+                assert np.array_equal(
+                    batch.reduction_ms[i, : want.size],
+                    block.reduction_ms[start:end][:4],
+                )
+        assert hits > 0
+
+    def test_error_messages(self, service):
+        with pytest.raises(
+            EmptyDirectoryError,
+            match="^directory has no ingested history to resolve queries "
+            "against$",
+        ):
+            RelayDirectory().lookup_many(
+                np.zeros(1, np.int64), np.zeros(1, np.int64), RelayType.COR, 3
+            )
+        n = len(service.directory.endpoint_ids())
+        with pytest.raises(
+            UnknownEndpointError,
+            match="^" + re.escape(
+                f"endpoint codes [-2, 0, 1, {n}] outside the directory's known "
+                f"range [-1, {n})"
+            ) + "$",
+        ):
+            service.route_many(
+                np.array([-2, 0], np.int64), np.array([1, n], np.int64),
+                RelayType.COR, 3,
+            )
+        with pytest.raises(ServiceError, match="^k must be >= 1, got 0$"):
+            service.directory.lookup_many(
+                np.zeros(1, np.int64), np.zeros(1, np.int64), RelayType.COR, 0
+            )
+        with pytest.raises(ServiceError, match=re.escape("query shapes differ")):
+            service.directory.lookup_many(
+                np.zeros(2, np.int64), np.zeros(3, np.int64), RelayType.COR, 1
+            )
+
+
 class TestIngest:
+    def test_answers_after_ingest_match_scratch_build(
+        self, small_campaign_result
+    ):
+        rounds = small_campaign_result.rounds
+        svc = ShortcutService.empty()
+        svc.ingest_round(rounds[0])
+        for relay_type in RELAY_TYPE_ORDER:  # query before the next ingest
+            _grid_digest(svc, relay_type, (3,))
+        svc.ingest_round(rounds[1])
+        scratch = ShortcutService.from_result(
+            small_campaign_result, rounds=rounds[:2]
+        )
+        assert svc.directory.endpoint_ids() == scratch.directory.endpoint_ids()
+        src, dst = _grid(scratch.directory)
+        for relay_type in RELAY_TYPE_ORDER:
+            _assert_same_answers(
+                svc.route_many(src, dst, relay_type, 3),
+                scratch.route_many(src, dst, relay_type, 3),
+            )
+
+    def test_answers_after_eviction_match_scratch_build(
+        self, small_campaign_result
+    ):
+        rounds = small_campaign_result.rounds
+        svc = ShortcutService.empty(max_rounds=2)
+        svc.ingest_round(rounds[0])
+        svc.ingest_round(rounds[1])
+        ids = svc.directory.endpoint_ids()
+        before = {
+            rt: _answers_by_ids(svc, ids, rt) for rt in RELAY_TYPE_ORDER
+        }
+        svc.ingest_round(rounds[2])  # evicts round 0
+        scratch = ShortcutService.from_result(
+            small_campaign_result, rounds=rounds[1:], max_rounds=2
+        )
+        # identities outlive the window by design, lanes decay: compare
+        # over endpoints the scratch build knows a country for
+        shared = [
+            e for e in scratch.directory.endpoint_ids()
+            if scratch.directory.country_of_code(
+                scratch.directory.endpoint_code(e)
+            ) is not None
+        ]
+        changed = False
+        for relay_type in RELAY_TYPE_ORDER:
+            got = _answers_by_ids(svc, shared, relay_type)
+            _assert_same_answers(got, _answers_by_ids(scratch, shared, relay_type))
+            after = _answers_by_ids(svc, ids, relay_type)
+            changed |= not np.array_equal(
+                after.relay_ids, before[relay_type].relay_ids
+            )
+        assert changed, "eviction changed no answer; the test proves nothing"
+
     def test_incremental_equals_full_recompile(self, small_campaign_result):
         svc = ShortcutService.empty(max_rounds=2)
         for rnd in small_campaign_result.rounds:
@@ -347,6 +707,14 @@ class TestSnapshot:
             == reference.directory.block_signature()
         )
 
+    def test_snapshot_bytes_golden_after_queries(self, service):
+        for relay_type in RELAY_TYPE_ORDER:
+            _grid_digest(service, relay_type, (3,))
+        assert _blake(_snapshot_bytes(service)) == GOLDEN_V2_SNAPSHOT
+        buffer = io.BytesIO()
+        save_cluster_snapshot(service, buffer)
+        assert _blake(buffer.getvalue()) == GOLDEN_V4_SNAPSHOT
+
     def test_unknown_version_rejected(self, service):
         data = np.load(io.BytesIO(_snapshot_bytes(service)))
         arrays = {name: data[name] for name in data.files}
@@ -411,6 +779,8 @@ class TestLoadgen:
         assert sum(stats["tier_counts"].values()) == 3_000
         assert 0.0 <= stats["relay_answer_frac"] <= 1.0
         assert stats["queries_per_s"] is None or stats["queries_per_s"] > 0
+        assert 0.0 < stats.latency_p50_ms <= stats.latency_p99_ms
+        assert stats["latency_p99_ms"] == stats.latency_p99_ms
 
     def test_config_validation(self):
         for bad in (
