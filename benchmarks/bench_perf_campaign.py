@@ -212,32 +212,30 @@ def run_bench() -> dict:
         # campaign: pool startup noise dwarfs the restore itself)
         hit_artifact = min(
             (run_sweep(cached_config) for _ in range(2)),
-            key=lambda a: a["timing"]["wall_clock_s"],
+            key=lambda a: a.timing["wall_clock_s"],
         )
         snapshot_bytes = sum(
             p.stat().st_size for p in pathlib.Path(cache_dir).glob("*.npz")
         )
     deterministic_match = json.dumps(
-        {k: v for k, v in sweep_artifact.items() if k != "timing"}, sort_keys=True
-    ) == json.dumps(
-        {k: v for k, v in hit_artifact.items() if k != "timing"}, sort_keys=True
-    )
+        sweep_artifact.as_dict(include_timing=False), sort_keys=True
+    ) == json.dumps(hit_artifact.as_dict(include_timing=False), sort_keys=True)
     sweep = {
-        "workload": sweep_artifact["workload"],
+        "workload": sweep_artifact.workload,
         "seeds": list(SWEEP_SEEDS),
         "rounds": SWEEP_ROUNDS,
         "workers": SWEEP_WORKERS,
-        "wall_clock_s": sweep_artifact["timing"]["wall_clock_s"],
-        "per_seed_s": sweep_artifact["timing"]["per_seed_s"],
-        "world_build_s": sweep_artifact["timing"]["world_build_s"],
-        "campaign_s": sweep_artifact["timing"]["campaign_s"],
-        "total_pings": sum(m["total_pings"] for m in sweep_artifact["per_seed"]),
+        "wall_clock_s": sweep_artifact.timing["wall_clock_s"],
+        "per_seed_s": sweep_artifact.timing["per_seed_s"],
+        "world_build_s": sweep_artifact.timing["world_build_s"],
+        "campaign_s": sweep_artifact.timing["campaign_s"],
+        "total_pings": sum(m["total_pings"] for m in sweep_artifact.per_seed),
         "snapshot_cache": {
             "populate_wall_clock_s": round(populate_s, 3),
-            "hit_wall_clock_s": hit_artifact["timing"]["wall_clock_s"],
-            "hit_per_seed_s": hit_artifact["timing"]["per_seed_s"],
-            "hit_world_build_s": hit_artifact["timing"]["world_build_s"],
-            "hit_campaign_s": hit_artifact["timing"]["campaign_s"],
+            "hit_wall_clock_s": hit_artifact.timing["wall_clock_s"],
+            "hit_per_seed_s": hit_artifact.timing["per_seed_s"],
+            "hit_world_build_s": hit_artifact.timing["world_build_s"],
+            "hit_campaign_s": hit_artifact.timing["campaign_s"],
             "snapshot_mb": round(snapshot_bytes / 1e6, 1),
             "deterministic_match": deterministic_match,
         },
@@ -349,10 +347,10 @@ def run_sweep_smoke(
     if budget_s is not None:
         ok = elapsed <= budget_s
     print(
-        f"sweep smoke: {artifact['workload']} took {elapsed:.2f} s"
+        f"sweep smoke: {artifact.workload} took {elapsed:.2f} s"
         + (f" (budget {budget_s:.2f} s)" if budget_s is not None else "")
-        + f"; world_build_s={artifact['timing']['world_build_s']} "
-        f"campaign_s={artifact['timing']['campaign_s']} -> "
+        + f"; world_build_s={artifact.timing['world_build_s']} "
+        f"campaign_s={artifact.timing['campaign_s']} -> "
         f"{'OK' if ok else 'TOO SLOW'}"
     )
     rss = _peak_rss_mb()
@@ -373,13 +371,13 @@ def run_sweep_smoke(
         ok = ok and rss_ok
     if json_out is not None:
         summary = {
-            "workload": artifact["workload"],
+            "workload": artifact.workload,
             "wall_clock_s": round(elapsed, 3),
             "budget_s": budget_s,
             "wall_ok": budget_s is None or elapsed <= budget_s,
             "world_cache": world_cache,
-            "world_build_s": artifact["timing"]["world_build_s"],
-            "campaign_s": artifact["timing"]["campaign_s"],
+            "world_build_s": artifact.timing["world_build_s"],
+            "campaign_s": artifact.timing["campaign_s"],
             "peak_rss_mb": round(rss, 1),
             "cache_snapshot_mb": round(cache_mb, 1),
             "peak_rss_minus_cache_mb": round(rss_adj, 1),

@@ -133,14 +133,14 @@ def run_bench() -> dict:
     compile_s = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        service = ShortcutService.from_result(result)
+        service = ShortcutService.from_campaign(result)
         compile_s = min(compile_s, time.perf_counter() - start)
 
     # incremental ingest: a service warm on all but the last round folds
     # the last round in (what an operator pays per new measurement round)
     ingest_s = float("inf")
     for _ in range(REPEATS):
-        warm = ShortcutService.from_result(result, rounds=result.rounds[:-1])
+        warm = ShortcutService.from_campaign(result, rounds=result.rounds[:-1])
         start = time.perf_counter()
         ingest_stats = warm.ingest_round(result.rounds[-1])
         ingest_s = min(ingest_s, time.perf_counter() - start)
@@ -162,7 +162,7 @@ def run_bench() -> dict:
     best = None
     for _ in range(REPEATS):
         stats = replay(service, config)
-        if best is None or stats["wall_clock_s"] < best["wall_clock_s"]:
+        if best is None or stats.wall_clock_s < best.wall_clock_s:
             best = stats
 
     # churn-aware leg: the same stream against a liveness-enabled service,
@@ -172,23 +172,23 @@ def run_bench() -> dict:
     # comparable across runs.
     live_best = live_service = None
     for _ in range(REPEATS):
-        candidate = ShortcutService.from_result(
+        candidate = ShortcutService.from_campaign(
             result, liveness_rounds=LIVENESS_ROUNDS
         )
         stats = replay(candidate, config)
-        if live_best is None or stats["wall_clock_s"] < live_best["wall_clock_s"]:
+        if live_best is None or stats.wall_clock_s < live_best.wall_clock_s:
             live_best, live_service = stats, candidate
     degradation_report = {
         "liveness_rounds": LIVENESS_ROUNDS,
         "dead_relays": live_service.dead_relay_count(),
-        "queries_per_s": live_best["queries_per_s"],
+        "queries_per_s": live_best.queries_per_s,
         "health_cost_pct": round(
             100.0
-            * (live_best["wall_clock_s"] - best["wall_clock_s"])
-            / best["wall_clock_s"],
+            * (live_best.wall_clock_s - best.wall_clock_s)
+            / best.wall_clock_s,
             1,
         ),
-        "tier_counts": live_best["tier_counts"],
+        "tier_counts": live_best.tier_counts,
         "counters": live_best.degradation,
     }
 
@@ -297,17 +297,17 @@ def run_smoke(
 
     result = _build_history()
     start = time.perf_counter()
-    service = ShortcutService.from_result(result)
+    service = ShortcutService.from_campaign(result)
     stats = replay(
         service, LoadgenConfig(num_queries=queries, batch_size=BATCH_SIZE)
     )
     elapsed = time.perf_counter() - start
-    ok = elapsed <= budget and stats["relay_answer_frac"] > 0.0
+    ok = elapsed <= budget and stats.relay_answer_frac > 0.0
     print(
         f"smoke: compile + {queries}-query replay took {elapsed:.3f} s "
         f"(budget {budget:.3f} s = {budget_factor}x recorded compile "
         f"{recorded['compile_s']} s + pro-rated replay + 2 s grace); "
-        f"{stats['queries_per_s']:,} queries/s -> {'OK' if ok else 'TOO SLOW'}"
+        f"{stats.queries_per_s:,} queries/s -> {'OK' if ok else 'TOO SLOW'}"
     )
     full_world = _full_world_leg(repeats=1)
     digest_ok = (
@@ -326,9 +326,9 @@ def run_smoke(
             "wall_clock_s": round(elapsed, 3),
             "budget_s": round(budget, 3),
             "budget_factor": budget_factor,
-            "queries_per_s": stats["queries_per_s"],
-            "relay_answer_frac": stats["relay_answer_frac"],
-            "tier_counts": stats["tier_counts"],
+            "queries_per_s": stats.queries_per_s,
+            "relay_answer_frac": stats.relay_answer_frac,
+            "tier_counts": stats.tier_counts,
             "full_world": full_world,
             "ok": ok and digest_ok,
         }

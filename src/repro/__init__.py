@@ -26,7 +26,6 @@ from repro.core.config import CampaignConfig
 from repro.core.campaign import MeasurementCampaign
 from repro.core.results import CampaignResult, PairObservation, RoundResult
 from repro.core.sweep import (
-    SweepConfig,
     SweepEntry,
     SweepRequest,
     SweepResult,
@@ -43,7 +42,6 @@ from repro.routing.fabric import RoutingFabric
 from repro.scenarios import (
     Regime,
     Scenario,
-    all_scenarios,
     get_regime,
     get_scenario,
     list_regimes,
@@ -77,7 +75,6 @@ __all__ = [
     "PairObservation",
     "ObservationTable",
     "TablePools",
-    "SweepConfig",
     "SweepEntry",
     "SweepRequest",
     "SweepResult",
@@ -89,7 +86,6 @@ __all__ = [
     "RoutingFabric",
     "Regime",
     "Scenario",
-    "all_scenarios",
     "get_regime",
     "get_scenario",
     "list_regimes",

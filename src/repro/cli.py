@@ -29,8 +29,7 @@ Usage (also via ``python -m repro``)::
 The world/history knobs are shared parent parsers, so ``--seed``,
 ``--countries``, ``--rounds``, ``--max-countries`` and ``--scenario``
 spell and behave identically on ``campaign``, ``sweep`` and
-``serve-bench`` (deprecated spellings — ``--base-seed``, ``--zipf`` —
-keep working with a warning).
+``serve-bench``.
 """
 
 from __future__ import annotations
@@ -51,21 +50,6 @@ from repro.topology.config import TopologyConfig
 from repro.world import WorldConfig, build_world
 
 _REPORTS = ("fig2", "fig3", "fig4", "table1", "countries", "voip", "stability", "summary", "full")
-
-
-class _DeprecatedAlias(argparse.Action):
-    """A renamed flag's old spelling: warn, then store into the new dest."""
-
-    def __init__(self, option_strings, dest, replacement, **kwargs):
-        self._replacement = replacement
-        super().__init__(option_strings, dest, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(
-            f"warning: {option_string} is deprecated; use {self._replacement}",
-            file=sys.stderr,
-        )
-        setattr(namespace, self.dest, values)
 
 
 def _single_scenario(args: argparse.Namespace) -> str | None:
@@ -319,7 +303,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
-    from repro.scenarios import all_scenarios
+    from repro.scenarios import list_scenarios
 
     if args.verify is not None:
         with open(args.verify, encoding="utf-8") as fh:
@@ -340,7 +324,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
                     f"{failure['expected']}, observed {failure['observed']}"
                 )
         return 0 if ok else 1
-    for scenario in all_scenarios():
+    for scenario in list_scenarios():
         print(f"{scenario.name:>16}: {scenario.description}")
     return 0
 
@@ -838,10 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--num-seeds", type=int, default=4)
     p_sweep.add_argument(
-        "--base-seed", type=int, dest="seed", action=_DeprecatedAlias,
-        replacement="--seed", default=argparse.SUPPRESS, help=argparse.SUPPRESS,
-    )
-    p_sweep.add_argument(
         "--workers", type=int, default=1, help="process-pool size (1 = inline)"
     )
     p_sweep.add_argument(
@@ -951,11 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--zipf-exponent", type=float, default=1.1,
         help="country-popularity Zipf exponent",
-    )
-    p_serve.add_argument(
-        "--zipf", type=float, dest="zipf_exponent", action=_DeprecatedAlias,
-        replacement="--zipf-exponent", default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
     )
     p_serve.add_argument(
         "--loadgen-seed", type=int, default=0, help="query-stream seed"

@@ -18,14 +18,10 @@ The programmatic surface mirrors the service API redesign:
   ``WorldConfig``/``CampaignConfig`` pairs — the Monte-Carlo manager's
   path, where every sampled draw is its own entry with its own seed).
 * :class:`SweepResult` is the typed, frozen return value.  It carries
-  the JSON-ready artifact sections as attributes plus the pooled
-  per-entry :class:`~repro.core.table.ObservationTable` objects
-  (``tables``; never serialized), and bridges read-only mapping access
-  (``result["per_seed"]``, ``dict(result)``) over :meth:`as_dict` so
-  callers that treated the old artifact dict as JSON keep working.
-* The pre-redesign call shape — ``run_sweep(SweepConfig(...))`` — still
-  works behind a ``DeprecationWarning`` and produces a byte-identical
-  artifact (asserted in ``tests/test_sweep.py``).
+  the JSON-ready artifact sections as attributes (:meth:`as_dict` gives
+  the artifact) plus the pooled per-entry
+  :class:`~repro.core.table.ObservationTable` objects (``tables``; never
+  serialized).
 
 Transport is columnar: each worker returns its campaign's
 :class:`~repro.core.table.ObservationTable` as a compact payload (a dozen
@@ -49,11 +45,10 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from collections.abc import Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro import obs
 from repro.analysis.improvements import ImprovementAnalysis
@@ -71,65 +66,6 @@ from repro.errors import ConfigError
 from repro.obs.profile import active_worker_dir, profile_worker_job
 from repro.scenarios import Scenario, get_scenario, scenario_with
 from repro.world import WorldConfig, build_world
-
-
-@dataclass(frozen=True, slots=True)
-class SweepConfig:
-    """Parameters of a multi-seed, multi-scenario campaign sweep.
-
-    The pre-redesign request shape: registry names plus one shared seed
-    list.  Passing one to :func:`run_sweep` still works behind a
-    ``DeprecationWarning``; new callers build a :class:`SweepRequest`
-    (``SweepRequest.from_config`` converts losslessly).
-    """
-
-    seeds: tuple[int, ...]
-    """World seeds to run, one full campaign each per scenario."""
-
-    rounds: int = 4
-    """Measurement rounds per campaign."""
-
-    countries: int | None = None
-    """Optional world country limit (None = the scenario's own scope)."""
-
-    max_countries: int | None = None
-    """Optional cap on endpoint countries per round."""
-
-    workers: int = 1
-    """Process-pool size; 1 runs the campaigns inline."""
-
-    scenarios: tuple[str, ...] = ("baseline",)
-    """Registered scenario names to fan out over (see
-    :mod:`repro.scenarios`); every scenario runs every seed."""
-
-    world_cache: str | None = None
-    """Optional world-snapshot cache directory (see
-    :mod:`repro.core.worldcache`): workers restore each ``(config, seed)``
-    world from its deterministic snapshot when present — the fabric and
-    delay-grid arrays arrive memory-mapped and read-only, so N workers
-    share one on-disk copy — and the first builder of a missing key
-    captures it.  Results are byte-identical either way; None (the
-    default) still honours ``$REPRO_WORLD_CACHE``."""
-
-    use_world_cache: bool = True
-    """False forces the from-scratch reference path in every worker,
-    ignoring both ``world_cache`` and the environment override."""
-
-    def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ConfigError("sweep needs at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"duplicate seeds in sweep: {self.seeds}")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if not self.scenarios:
-            raise ConfigError("sweep needs at least one scenario")
-        if len(set(self.scenarios)) != len(self.scenarios):
-            raise ConfigError(f"duplicate scenarios in sweep: {self.scenarios}")
-        for name in self.scenarios:
-            get_scenario(name)  # raises UnknownScenarioError for unknown names
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,10 +121,17 @@ class SweepRequest:
     """Process-pool size; 1 runs the campaigns inline."""
 
     world_cache: str | None = None
-    """World-snapshot cache directory (see :class:`SweepConfig`)."""
+    """Optional world-snapshot cache directory (see
+    :mod:`repro.core.worldcache`): workers restore each ``(config, seed)``
+    world from its deterministic snapshot when present — the fabric and
+    delay-grid arrays arrive memory-mapped and read-only, so N workers
+    share one on-disk copy — and the first builder of a missing key
+    captures it.  Results are byte-identical either way; None (the
+    default) still honours ``$REPRO_WORLD_CACHE``."""
 
     use_world_cache: bool = True
-    """False forces the from-scratch reference path in every worker."""
+    """False forces the from-scratch build in every worker, ignoring both
+    ``world_cache`` and the environment override."""
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -276,20 +219,6 @@ class SweepRequest:
             use_world_cache=use_world_cache,
         )
 
-    @classmethod
-    def from_config(cls, config: SweepConfig) -> "SweepRequest":
-        """Lossless conversion of the pre-redesign :class:`SweepConfig`."""
-        return cls.from_scenario(
-            config.scenarios,
-            seeds=config.seeds,
-            rounds=config.rounds,
-            countries=config.countries,
-            max_countries=config.max_countries,
-            workers=config.workers,
-            world_cache=config.world_cache,
-            use_world_cache=config.use_world_cache,
-        )
-
     @property
     def shared_seeds(self) -> tuple[int, ...] | None:
         """The one seed list every entry runs, or None when they differ."""
@@ -303,9 +232,6 @@ class SweepRequest:
 class SweepResult:
     """One sweep's typed outcome (see :func:`run_sweep`).
 
-    Attribute-typed, with a read-only mapping bridge (``result["key"]``,
-    ``"key" in result``, ``dict(result)``) over :meth:`as_dict` so
-    callers that treated the old artifact dict as JSON keep working.
     ``tables`` / ``registries`` expose each entry's pooled cross-world
     observation table and unified relay registry for further analysis
     (the Monte-Carlo manager's per-draw metrics); they never appear in
@@ -345,31 +271,6 @@ class SweepResult:
         if include_timing:
             out["timing"] = dict(self.timing)
         return out
-
-    # ------------------------------------------------- mapping bridge
-    def __getitem__(self, key: str) -> Any:
-        return self.as_dict()[key]
-
-    def __contains__(self, key: object) -> bool:
-        return key in self.as_dict()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.as_dict())
-
-    def keys(self):
-        return self.as_dict().keys()
-
-    def values(self):
-        return self.as_dict().values()
-
-    def items(self):
-        return self.as_dict().items()
-
-    def get(self, key: str, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
 
 
 def _run_seed_columns(
@@ -554,13 +455,8 @@ def _config_section(request: SweepRequest) -> dict:
     return section
 
 
-def run_sweep(request: SweepRequest | SweepConfig) -> SweepResult:
+def run_sweep(request: SweepRequest) -> SweepResult:
     """Run the sweep and return its :class:`SweepResult`.
-
-    Passing the pre-redesign :class:`SweepConfig` still works behind a
-    ``DeprecationWarning`` (the artifact bytes are identical — asserted
-    in ``tests/test_sweep.py``); new callers build a
-    :class:`SweepRequest`.
 
     Artifact sections (:meth:`SweepResult.as_dict`), all deterministic
     across worker counts:
@@ -592,15 +488,6 @@ def run_sweep(request: SweepRequest | SweepConfig) -> SweepResult:
     are unchanged by the remap; each entry section reports the
     unification census under ``cross_world``.
     """
-    if isinstance(request, SweepConfig):
-        warnings.warn(
-            "run_sweep(SweepConfig) is deprecated; build a SweepRequest "
-            "(SweepRequest.from_scenario / from_configs) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        request = SweepRequest.from_config(request)
-
     # pool workers record observability/profiles locally and ship them
     # back with their outcome; inline jobs record straight into the
     # driver's recorders (both no-ops when obs/profiling are off)

@@ -9,7 +9,6 @@ reductions the expectations are checked against.
 
 from repro.scenarios.registry import (
     Scenario,
-    all_scenarios,
     get_scenario,
     list_scenarios,
     register,
@@ -32,7 +31,6 @@ _REGIME_EXPORTS = (
 __all__ = [
     "Regime",
     "Scenario",
-    "all_scenarios",
     "get_regime",
     "get_scenario",
     "list_regimes",

@@ -121,10 +121,6 @@ def list_scenarios() -> tuple[Scenario, ...]:
     return tuple(_REGISTRY.values())
 
 
-#: Backwards-compatible name of :func:`list_scenarios`.
-all_scenarios = list_scenarios
-
-
 # --------------------------------------------------------------- presets
 #
 # The baseline expectations every regime starts from: the paper's headline

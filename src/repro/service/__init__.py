@@ -20,16 +20,15 @@ Construct services with the keyword-only classmethods —
 :meth:`ShortcutService.from_campaign` / ``from_table`` /
 ``from_snapshot`` / ``empty`` — and consume the typed results
 (:class:`RouteAnswer`, :class:`RouteBatch`, :class:`ServiceStats`).
-The bare ``ShortcutService(...)`` constructor is a deprecated shim.
+Snapshots have one format (:data:`SNAPSHOT_VERSION`): what
+:meth:`ShortcutService.save` writes, :meth:`ShortcutService.from_snapshot`
+restores and :meth:`ClusterService.from_snapshot` serves.
 """
 
 from repro.service.cluster import (
-    CLUSTER_SNAPSHOT_VERSION,
     ClusterService,
     cross_world_service,
     load_cluster_snapshot,
-    migrate_snapshot,
-    save_cluster_snapshot,
 )
 from repro.service.directory import (
     SNAPSHOT_VERSION,
@@ -51,14 +50,12 @@ from repro.service.results import (
     DegradationCounters,
     RouteAnswer,
     RouteBatch,
-    RouteDecision,
     ServiceStats,
 )
 from repro.service.service import ShortcutService
 
 __all__ = [
     "BLOCK_SIZE",
-    "CLUSTER_SNAPSHOT_VERSION",
     "ClusterService",
     "DegradationCounters",
     "LaneBlock",
@@ -67,7 +64,6 @@ __all__ = [
     "RelayDirectory",
     "RouteAnswer",
     "RouteBatch",
-    "RouteDecision",
     "SNAPSHOT_VERSION",
     "ServiceStats",
     "ShortcutService",
@@ -78,7 +74,5 @@ __all__ = [
     "country_rank_order",
     "cross_world_service",
     "load_cluster_snapshot",
-    "migrate_snapshot",
     "replay",
-    "save_cluster_snapshot",
 ]

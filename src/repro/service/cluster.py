@@ -11,15 +11,16 @@ so the pooled :class:`~repro.core.table.ObservationTable` compiles into
 one directory whose relay indices mean the same relay regardless of
 which world observed it.
 
-**One compiled segment.**  A cluster snapshot (:func:`save_cluster_snapshot`,
-format v4) is the v2 single-process layout plus the directory's compiled
-lane blocks, written once.  ``np.savez`` stores members uncompressed, so
-:func:`load_cluster_snapshot` maps each array straight off disk
-(``np.memmap``): N worker processes share one read-only copy of the page
-cache instead of N heap copies, and each worker serves *every* lane.
-The base arrays let the ingest master rebuild the full directory.  The
-retired sharded v3 layout (per-shard segments) is refused with a re-save
-hint; v2 snapshots migrate (:func:`migrate_snapshot`).
+**One compiled segment.**  Workers serve the one snapshot format
+:meth:`RelayDirectory.save <repro.service.directory.RelayDirectory.save>`
+writes: the base arrays plus the directory's compiled lane blocks.
+``np.savez`` stores members uncompressed, so :func:`load_cluster_snapshot`
+maps each array straight off disk (``np.memmap``): N worker processes
+share one read-only copy of the page cache instead of N heap copies, and
+each worker serves *every* lane.  The base arrays let the ingest master
+rebuild the full directory.  Defective files and other versions are
+refused with a :class:`ServiceError` by the shared reader
+(:func:`~repro.service.directory.read_snapshot`).
 
 **Row-partitioned serving.**  :class:`ClusterService` is the batching
 front: it validates each query batch once, copies it into shared scratch
@@ -70,91 +71,29 @@ from repro.core.table import ObservationTable
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import ServiceError
 from repro.service.directory import (
-    SNAPSHOT_VERSION,
     TIER_COUNTRY,
     TIER_NAMES,
     TIER_PAIR,
     LaneBlock,
     RelayDirectory,
+    read_snapshot,
     validate_query_codes,
 )
 from repro.service.results import DegradationCounters, RouteAnswer, RouteBatch
 from repro.service.service import ShortcutService
-from repro.util.npz import mmap_npz
 
 __all__ = [
-    "CLUSTER_SNAPSHOT_VERSION",
     "ClusterService",
     "ClusterSnapshot",
     "cross_world_service",
     "load_cluster_snapshot",
-    "migrate_snapshot",
-    "save_cluster_snapshot",
 ]
-
-#: Snapshot format version of the cluster layout (v2 + one compiled segment).
-CLUSTER_SNAPSHOT_VERSION = SNAPSHOT_VERSION + 2
-
-#: The retired sharded cluster layout (per-shard segments + manifest).
-_SHARDED_SNAPSHOT_VERSION = SNAPSHOT_VERSION + 1
 
 _TIERS = (TIER_PAIR, TIER_COUNTRY)
 
 
-def _check_cluster_version(version: int) -> None:
-    """Refuse every snapshot version but the current cluster layout."""
-    if version == SNAPSHOT_VERSION:
-        raise ServiceError(
-            f"snapshot version {version} is the single-process format; "
-            "migrate it with migrate_snapshot / ClusterService.from_snapshot"
-        )
-    if version == _SHARDED_SNAPSHOT_VERSION:
-        raise ServiceError(
-            f"snapshot version {version} is the retired sharded cluster "
-            "layout; re-save it from its directory with save_cluster_snapshot"
-        )
-    if version != CLUSTER_SNAPSHOT_VERSION:
-        raise ServiceError(f"unknown snapshot version {version}")
-
-
-# ------------------------------------------------------------ snapshot v4
-
-
-def save_cluster_snapshot(
-    source: RelayDirectory | ShortcutService, file: str | IO[bytes]
-) -> None:
-    """Write a cluster snapshot: the v2 base layout plus compiled blocks.
-
-    Deterministic like v2: fixed array order, constant zip timestamps.
-    The base arrays are exactly what :meth:`RelayDirectory.save` writes
-    (modulo the ``meta`` version row), so a cluster snapshot can always
-    rebuild the full directory for ingest.
-    """
-    directory = getattr(source, "directory", source)
-    arrays = directory.snapshot_arrays()
-    arrays["meta"] = np.asarray(
-        [
-            CLUSTER_SNAPSHOT_VERSION,
-            -1 if directory.max_rounds is None else directory.max_rounds,
-        ],
-        np.int64,
-    )
-    for tier in _TIERS:
-        for code, relay_type in enumerate(RELAY_TYPE_ORDER):
-            block = directory.block(tier, relay_type)
-            if block.num_lanes == 0:
-                continue
-            prefix = f"b_t{tier}_{code}"
-            arrays[f"{prefix}_keys"] = block.keys
-            arrays[f"{prefix}_indptr"] = block.indptr
-            arrays[f"{prefix}_relays"] = block.relays
-            arrays[f"{prefix}_counts"] = block.counts
-            arrays[f"{prefix}_red"] = block.reduction_ms
-    np.savez(file, **arrays)
-
-
 class ClusterSnapshot:
-    """A parsed cluster snapshot: identity arrays plus one compiled segment.
+    """A parsed snapshot: identity arrays plus one compiled segment.
 
     Arrays may be lazily ``np.memmap``-backed (the worker path) or eager
     (buffer loads); accessors never care which.
@@ -162,7 +101,6 @@ class ClusterSnapshot:
 
     def __init__(self, arrays: dict[str, np.ndarray]) -> None:
         meta = np.asarray(arrays["meta"])
-        _check_cluster_version(int(meta[0]))
         self._arrays = arrays
         self.max_rounds: int | None = None if int(meta[1]) < 0 else int(meta[1])
 
@@ -246,35 +184,20 @@ class ClusterSnapshot:
 
     def full_directory(self) -> RelayDirectory:
         """Rebuild the complete directory with its round rows (the ingest
-        master): the v2 load path with the segment arrays ignored."""
+        master): :meth:`RelayDirectory.load`'s rebuild over these arrays."""
         return RelayDirectory._from_arrays(self._arrays)
 
 
 def load_cluster_snapshot(
     file: str | IO[bytes], *, mmap: bool = True
 ) -> ClusterSnapshot:
-    """Parse a cluster snapshot, memory-mapping arrays when given a path.
+    """Parse a snapshot, memory-mapping arrays when given a path.
 
     Raises:
-        ServiceError: for v2 snapshots (migrate first), retired sharded
-            v3 snapshots (re-save) and unknown versions.
+        ServiceError: for any defective snapshot (see
+            :func:`~repro.service.directory.read_snapshot`).
     """
-    if mmap and isinstance(file, (str, os.PathLike)):
-        try:
-            arrays = mmap_npz(os.fspath(file))
-        except (OSError, ValueError):
-            pass  # compressed / exotic member: fall back to eager load
-        else:
-            return ClusterSnapshot(arrays)
-    with np.load(file) as data:
-        _check_cluster_version(int(data["meta"][0]))
-        arrays = {name: data[name] for name in data.files}
-    return ClusterSnapshot(arrays)
-
-
-def migrate_snapshot(src: str | IO[bytes], dst: str | IO[bytes]) -> None:
-    """Rewrite a v2 single-process snapshot as a cluster snapshot."""
-    save_cluster_snapshot(RelayDirectory.load(src), dst)
+    return ClusterSnapshot(read_snapshot(file, mmap=mmap))
 
 
 # ----------------------------------------------------------------- workers
@@ -350,12 +273,12 @@ class ClusterService:
     """N worker processes serving one mmap'd snapshot, row-partitioned.
 
     Built via :meth:`from_service` (scale out a live service) or
-    :meth:`from_snapshot` (serve a snapshot file; v2 snapshots migrate
-    transparently).  Implements the same query surface as
-    :class:`ShortcutService` — ``route_many`` / ``route`` /
-    ``encode_endpoints`` / ``ingest_round`` — so :func:`~repro.service.
-    loadgen.replay` drives either interchangeably, and answers are
-    byte-identical to the in-process service by construction.
+    :meth:`from_snapshot` (serve a snapshot file or buffer).  Implements
+    the same query surface as :class:`ShortcutService` — ``route_many`` /
+    ``route`` / ``encode_endpoints`` / ``ingest_round`` — so
+    :func:`~repro.service.loadgen.replay` drives either interchangeably,
+    and answers are byte-identical to the in-process service by
+    construction.
 
     Use as a context manager (or call :meth:`close`): the cluster owns
     worker processes and a scratch directory.
@@ -472,7 +395,7 @@ class ClusterService:
         workdir = tempfile.mkdtemp(prefix="repro-cluster-")
         try:
             path = os.path.join(workdir, "snapshot-0.npz")
-            save_cluster_snapshot(service.directory, path)
+            service.directory.save(path)
             return cls(
                 path,
                 workers=workers,
@@ -499,23 +422,13 @@ class ClusterService:
         spill: int = 2,
         capacity: int = 32768,
     ) -> ClusterService:
-        """Serve a snapshot file: cluster format directly, v2 via migration.
+        """Serve a :meth:`ShortcutService.save` snapshot (path or buffer).
 
-        A v2 (single-process) snapshot is loaded and republished in the
-        cluster format; a retired sharded v3 snapshot is refused.
+        Raises:
+            ServiceError: for any defective snapshot (see
+                :func:`~repro.service.directory.read_snapshot`), before
+                any worker starts.
         """
-        if hasattr(file, "seek"):
-            file.seek(0)
-        with np.load(file) as data:
-            version = int(data["meta"][0])
-        if hasattr(file, "seek"):
-            file.seek(0)
-        if version == SNAPSHOT_VERSION:
-            service = ShortcutService.from_snapshot(
-                file, k=k, liveness_rounds=liveness_rounds, spill=spill
-            )
-            return cls.from_service(service, workers=workers, capacity=capacity)
-        _check_cluster_version(version)
         if isinstance(file, (str, os.PathLike)):
             return cls(
                 os.fspath(file),
@@ -698,7 +611,7 @@ class ClusterService:
         with self._sp_swap:
             self._epoch += 1
             path = os.path.join(self._workdir, f"snapshot-{self._epoch}.npz")
-            save_cluster_snapshot(directory, path)
+            directory.save(path)
             self._broadcast(("swap", path), "swapped")
             previous = self._snapshot_path
             self._snapshot_path = path

@@ -36,14 +36,23 @@ the CSR copy 12 bytes per entry (``stats()["lookup_index_bytes"]``).
 The index is derived state: any change to the blocks or the endpoint
 pool drops it, and it is never persisted.
 
-Snapshots (:meth:`save` / :meth:`load`) are a single ``.npz`` of flat
-arrays: the string pools, the per-round lane rows and the retention
-configuration.  Loading replays a full recompile, so a restored directory
-is bit-identical to the one that saved it.
+Snapshots (:meth:`save` / :meth:`load`) are a single uncompressed
+``.npz`` of flat arrays in one format (version :data:`SNAPSHOT_VERSION`):
+the *base* arrays — string pools, per-round lane rows, relay health and
+the retention configuration — followed by the compiled lane blocks.
+Loading rebuilds from the base arrays and recompiles, so a restored
+directory is bit-identical to the one that saved it; the serving
+cluster instead maps the block arrays straight off disk
+(:func:`repro.service.cluster.load_cluster_snapshot`).  Every reader
+goes through :func:`read_snapshot`, which turns any defective file
+(missing, not a zip, truncated, missing members, another version) into
+a :class:`~repro.errors.ServiceError` naming it.
 """
 
 from __future__ import annotations
 
+import os
+import zipfile
 from dataclasses import dataclass
 from typing import IO, Any
 
@@ -60,6 +69,7 @@ from repro.errors import (
     UnknownCountryError,
     UnknownEndpointError,
 )
+from repro.util.npz import mmap_npz
 
 #: Fallback tiers a query resolves through, in preference order.
 TIER_PAIR = 0
@@ -67,9 +77,20 @@ TIER_COUNTRY = 1
 TIER_DIRECT = 2
 TIER_NAMES = ("pair", "country", "direct")
 
-#: Snapshot format version (bumped on incompatible layout changes).
-#: v2 added the relay last-seen arrays that back churn-aware health.
-SNAPSHOT_VERSION = 2
+#: Snapshot format version (bumped on incompatible layout changes).  v2
+#: added the relay last-seen arrays that back churn-aware health, v4 the
+#: compiled lane blocks; no other version can be read.
+SNAPSHOT_VERSION = 4
+
+#: Members every snapshot carries besides ``meta`` and the per-round rows.
+_BASE_MEMBERS = (
+    "endpoints",
+    "countries",
+    "endpoint_cc",
+    "round_ids",
+    "relay_seen_ids",
+    "relay_seen_rounds",
+)
 
 _TIERS = (TIER_PAIR, TIER_COUNTRY)
 
@@ -731,11 +752,11 @@ class RelayDirectory:
     # -------------------------------------------------------------- snapshots
 
     def snapshot_arrays(self) -> dict[str, np.ndarray]:
-        """The v2 snapshot as a flat name -> array dict, in write order.
+        """The snapshot as a flat name -> array dict, in write order.
 
-        The cluster format extends this dict with the compiled lane
-        blocks (see :mod:`repro.service.cluster`), so both formats agree
-        on the base layout by construction.
+        The base arrays come first (``meta``, identities, relay health,
+        per-round lane rows), then every non-empty compiled block as
+        ``b_t{tier}_{type}_{keys,indptr,relays,counts,red}``.
         """
         arrays: dict[str, np.ndarray] = {
             "meta": np.asarray(
@@ -765,10 +786,21 @@ class RelayDirectory:
                 arrays[f"{prefix}_relay"] = relay
                 arrays[f"{prefix}_count"] = count
                 arrays[f"{prefix}_gain"] = gain
+        for tier in _TIERS:
+            for code in range(len(RELAY_TYPE_ORDER)):
+                block = self._blocks.get((tier, code))
+                if block is None or block.num_lanes == 0:
+                    continue
+                prefix = f"b_t{tier}_{code}"
+                arrays[f"{prefix}_keys"] = block.keys
+                arrays[f"{prefix}_indptr"] = block.indptr
+                arrays[f"{prefix}_relays"] = block.relays
+                arrays[f"{prefix}_counts"] = block.counts
+                arrays[f"{prefix}_red"] = block.reduction_ms
         return arrays
 
     def save(self, file: str | IO[bytes]) -> None:
-        """Write the directory to a compact ``.npz`` snapshot.
+        """Write the directory to a ``.npz`` snapshot.
 
         Deterministic: the same directory state always produces the same
         bytes (arrays are written in a fixed order and ``np.savez`` stamps
@@ -778,11 +810,10 @@ class RelayDirectory:
 
     @classmethod
     def _from_arrays(cls, data) -> RelayDirectory:
-        """Rebuild from a snapshot's base arrays (version already checked).
+        """Rebuild from a snapshot's base arrays and recompile.
 
-        ``data`` is any name -> array mapping holding the v2 base layout;
-        extra names (the cluster's block arrays) are ignored, which is what
-        lets the cluster loader reuse this for migration.
+        ``data`` is any name -> array mapping :func:`read_snapshot`
+        accepted; the block arrays are ignored.
         """
         meta = data["meta"]
         max_rounds = int(meta[1])
@@ -818,22 +849,10 @@ class RelayDirectory:
         """Rebuild a directory from a :meth:`save` snapshot.
 
         Raises:
-            ServiceError: on unknown snapshot versions, including the
-                cluster formats (load those through
-                :func:`repro.service.cluster.load_cluster_snapshot`).
+            ServiceError: for any defective snapshot (see
+                :func:`read_snapshot`).
         """
-        with np.load(file) as data:
-            version = int(data["meta"][0])
-            if version in (SNAPSHOT_VERSION + 1, SNAPSHOT_VERSION + 2):
-                raise ServiceError(
-                    f"snapshot version {version} is a cluster "
-                    "snapshot; load it with "
-                    "repro.service.cluster.load_cluster_snapshot / "
-                    "ClusterService.from_snapshot"
-                )
-            if version != SNAPSHOT_VERSION:
-                raise ServiceError(f"unknown snapshot version {version}")
-            return cls._from_arrays(data)
+        return cls._from_arrays(read_snapshot(file))
 
     @classmethod
     def segment_view(
@@ -887,3 +906,49 @@ class RelayDirectory:
                         block.reduction_ms):
                 digest.update(np.ascontiguousarray(arr).tobytes())
         return digest.hexdigest()
+
+
+def read_snapshot(
+    file: str | os.PathLike | IO[bytes], *, mmap: bool = False
+) -> dict[str, np.ndarray]:
+    """Every member of a snapshot, checked: the one snapshot reader.
+
+    With ``mmap`` and a path, members are memory-mapped in place (a
+    compressed or object member falls back to an eager read); otherwise
+    they are read into memory.
+
+    Raises:
+        ServiceError: naming the file when it is missing, unreadable, not
+            a zip, truncated, lacks ``meta`` or a base member, or has any
+            version but :data:`SNAPSHOT_VERSION`.
+    """
+    is_path = isinstance(file, (str, os.PathLike))
+    name = os.fspath(file) if is_path else getattr(file, "name", "<buffer>")
+    try:
+        arrays = None
+        if mmap and is_path:
+            try:
+                arrays = mmap_npz(os.fspath(file))
+            except ValueError:
+                pass  # compressed / exotic member: read it eagerly
+        if arrays is None:
+            with np.load(file) as data:
+                arrays = {member: data[member] for member in data.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ServiceError(f"snapshot {name} cannot be read: {exc}") from exc
+    if "meta" not in arrays:
+        raise ServiceError(f"snapshot {name} has no meta member")
+    meta = np.asarray(arrays["meta"]).ravel()
+    version = int(meta[0]) if meta.size and meta.dtype.kind in "iu" else None
+    if version != SNAPSHOT_VERSION:
+        raise ServiceError(
+            f"snapshot {name} has version {version}, which cannot be read "
+            f"(only version {SNAPSHOT_VERSION}); it must be rebuilt from "
+            "its campaign or tables and saved again"
+        )
+    if meta.size != 2:
+        raise ServiceError(f"snapshot {name} has a malformed meta member")
+    missing = [member for member in _BASE_MEMBERS if member not in arrays]
+    if missing:
+        raise ServiceError(f"snapshot {name} lacks members {missing}")
+    return arrays

@@ -237,8 +237,7 @@ def replay(
     its own.  Returns a :class:`~repro.service.results.ServiceStats`:
     sustained queries/sec, per-batch latency p50/p99, the tier mix, the
     fraction of queries answered with a relay, and a BLAKE2 digest of
-    every answer (relay ids + tiers) for exact cross-run comparison.  (``ServiceStats`` also supports the old
-    replay-dict ``stats["key"]`` access.)
+    every answer (relay ids + tiers) for exact cross-run comparison.
 
     Works on anything with the service query surface: an in-process
     :class:`~repro.service.service.ShortcutService` or a

@@ -10,8 +10,7 @@ call volume:
   dataclass callers can log or assert on field by field;
 * :class:`ServiceStats` — one replay's summary (throughput, per-batch
   latency, tier mix, degradation counters, scale-out accounting),
-  attribute-typed but with a read-only mapping bridge so JSON-minded
-  callers can keep indexing it like the dict it used to be.
+  attribute-typed, with :meth:`~ServiceStats.as_dict` for JSON.
 
 :class:`DegradationCounters` is the churn-awareness telemetry the
 service accumulates (see :mod:`repro.service.service`).
@@ -19,8 +18,8 @@ service accumulates (see :mod:`repro.service.service`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -109,10 +108,6 @@ class RouteAnswer:
         }
 
 
-#: Backwards-compatible name of :class:`RouteAnswer` (pre-redesign API).
-RouteDecision = RouteAnswer
-
-
 @dataclass(slots=True)
 class DegradationCounters:
     """Cumulative graceful-degradation telemetry of one service.
@@ -161,10 +156,6 @@ class DegradationCounters:
 class ServiceStats:
     """One replay's summary (see :func:`repro.service.loadgen.replay`).
 
-    Attribute-typed, with a read-only mapping bridge (``stats["key"]``,
-    ``"key" in stats``, ``dict(stats)``) over :meth:`as_dict` so callers
-    that treated the old replay dict as JSON keep working.
-
     Attributes:
         queries: Queries replayed.
         batch_size: Queries per ``route_many`` call.
@@ -207,10 +198,9 @@ class ServiceStats:
     latency_p99_ms: float | None = None
     degradation: dict[str, int] | None = None
     scale_out: dict[str, Any] | None = None
-    _extra: dict[str, Any] = field(default_factory=dict, repr=False)
 
     def as_dict(self) -> dict[str, Any]:
-        """JSON-ready view (the old replay-dict shape plus new fields)."""
+        """JSON-ready view of every field."""
         out: dict[str, Any] = {
             "queries": self.queries,
             "batch_size": self.batch_size,
@@ -232,26 +222,4 @@ class ServiceStats:
             out["degradation"] = dict(self.degradation)
         if self.scale_out is not None:
             out["scale_out"] = dict(self.scale_out)
-        out.update(self._extra)
         return out
-
-    # ------------------------------------------------- mapping bridge
-    def __getitem__(self, key: str) -> Any:
-        if key == "workers":  # pre-redesign spelling of the synthesis knob
-            return self.loadgen_workers
-        return self.as_dict()[key]
-
-    def __contains__(self, key: object) -> bool:
-        return key == "workers" or key in self.as_dict()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.as_dict())
-
-    def keys(self):
-        return self.as_dict().keys()
-
-    def get(self, key: str, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default

@@ -17,9 +17,7 @@ setup path.  The serving contract:
 Construction goes through the classmethods — :meth:`from_campaign`,
 :meth:`from_table`, :meth:`from_snapshot`, :meth:`from_directory`,
 :meth:`empty` — all sharing the same keyword-only tuning knobs
-(``k``, ``max_rounds``, ``liveness_rounds``, ``spill``).  Calling the
-class directly is a deprecated shim kept byte-identical to the old
-behavior (asserted in ``tests/test_service_api.py``).
+(``k``, ``max_rounds``, ``liveness_rounds``, ``spill``).
 
 Answers are deterministic: the same directory state returns the same
 relays for the same queries, batched or scalar, before or after a
@@ -39,7 +37,6 @@ byte-identical to a health-unaware service.
 
 from __future__ import annotations
 
-import warnings
 from typing import IO, Any
 
 import numpy as np
@@ -55,18 +52,12 @@ from repro.service.directory import (
     TIER_NAMES,
     RelayDirectory,
 )
-from repro.service.results import (
-    DegradationCounters,
-    RouteAnswer,
-    RouteBatch,
-    RouteDecision,
-)
+from repro.service.results import DegradationCounters, RouteAnswer, RouteBatch
 
 __all__ = [
     "DegradationCounters",
     "RouteAnswer",
     "RouteBatch",
-    "RouteDecision",
     "ShortcutService",
 ]
 
@@ -88,43 +79,13 @@ class ShortcutService:
 
     def __init__(
         self,
-        directory: RelayDirectory | None = None,
-        max_rounds: int | None = None,
+        directory: RelayDirectory,
         *,
+        k: int = 3,
         liveness_rounds: int | None = None,
         spill: int = 2,
     ) -> None:
-        """Deprecated: use :meth:`from_directory` / :meth:`empty`.
-
-        Kept as a thin shim over the redesigned constructors; behavior is
-        byte-identical to the pre-redesign class (asserted in
-        ``tests/test_service_api.py``).
-        """
-        warnings.warn(
-            "calling ShortcutService(...) directly is deprecated; use "
-            "ShortcutService.from_campaign / from_table / from_snapshot / "
-            "from_directory / empty",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if directory is not None and max_rounds is not None:
-            raise ServiceError("pass either a directory or max_rounds, not both")
-        self._init(
-            directory or RelayDirectory(max_rounds=max_rounds),
-            k=3,
-            liveness_rounds=liveness_rounds,
-            spill=spill,
-        )
-
-    def _init(
-        self,
-        directory: RelayDirectory,
-        *,
-        k: int,
-        liveness_rounds: int | None,
-        spill: int,
-    ) -> None:
-        """The real initializer every constructor funnels through."""
+        """Wrap a compiled directory; every classmethod funnels through here."""
         if k < 1:
             raise ServiceError(f"k must be >= 1, got {k}")
         if liveness_rounds is not None and liveness_rounds < 1:
@@ -171,11 +132,7 @@ class ShortcutService:
         spill: int = 2,
     ) -> ShortcutService:
         """Wrap an already-compiled directory (the canonical constructor)."""
-        service = object.__new__(cls)
-        service._init(
-            directory, k=k, liveness_rounds=liveness_rounds, spill=spill
-        )
-        return service
+        return cls(directory, k=k, liveness_rounds=liveness_rounds, spill=spill)
 
     @classmethod
     def empty(
@@ -252,25 +209,6 @@ class ShortcutService:
         return cls.from_directory(
             RelayDirectory.load(file),
             k=k,
-            liveness_rounds=liveness_rounds,
-            spill=spill,
-        )
-
-    @classmethod
-    def from_result(
-        cls,
-        result: CampaignResult,
-        max_rounds: int | None = None,
-        rounds=None,
-        *,
-        liveness_rounds: int | None = None,
-        spill: int = 2,
-    ) -> ShortcutService:
-        """Legacy spelling of :meth:`from_campaign` (positional knobs)."""
-        return cls.from_campaign(
-            result,
-            rounds=rounds,
-            max_rounds=max_rounds,
             liveness_rounds=liveness_rounds,
             spill=spill,
         )

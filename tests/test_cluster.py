@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 import signal
 import time
 
@@ -19,7 +20,6 @@ import pytest
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import ServiceError
 from repro.service import (
-    CLUSTER_SNAPSHOT_VERSION,
     SNAPSHOT_VERSION,
     TIER_COUNTRY,
     TIER_PAIR,
@@ -29,9 +29,7 @@ from repro.service import (
     ShortcutService,
     cross_world_service,
     load_cluster_snapshot,
-    migrate_snapshot,
     replay,
-    save_cluster_snapshot,
 )
 
 #: Answers digest of ``GOLDEN_CONFIG`` replayed against the ``service``
@@ -48,10 +46,49 @@ def service(small_campaign_result):
     return ShortcutService.from_campaign(small_campaign_result)
 
 
-def _v2_bytes(service: ShortcutService) -> bytes:
+def _snapshot_bytes(service: ShortcutService) -> bytes:
     buffer = io.BytesIO()
     service.save(buffer)
     return buffer.getvalue()
+
+
+def _base_arrays(directory: RelayDirectory) -> dict[str, np.ndarray]:
+    """The snapshot's arrays without the compiled blocks (the v2 layout)."""
+    return {
+        name: arr
+        for name, arr in directory.snapshot_arrays().items()
+        if not name.startswith("b_")
+    }
+
+
+def _sharded_v3_arrays(directory: RelayDirectory) -> dict[str, np.ndarray]:
+    """The retired sharded layout: base arrays, meta (3, max_rounds,
+    num_shards), per-shard segment arrays and a shard manifest."""
+    arrays = _base_arrays(directory)
+    arrays["meta"] = np.asarray([3, -1, 16], np.int64)
+    block = directory.block(TIER_PAIR, RelayType.COR)
+    arrays["s0_t0_0_keys"] = block.keys
+    arrays["s0_t0_0_indptr"] = block.indptr
+    arrays["shard_manifest"] = np.asarray(
+        [[0, 0, 0, block.num_lanes, block.relays.size]], np.int64
+    )
+    return arrays
+
+
+#: Every snapshot reader; each must turn a defective file into a
+#: ServiceError naming it.
+SNAPSHOT_LOADERS = {
+    "RelayDirectory.load": RelayDirectory.load,
+    "ShortcutService.load": ShortcutService.load,
+    "ShortcutService.from_snapshot": ShortcutService.from_snapshot,
+    "load_cluster_snapshot": load_cluster_snapshot,
+    "load_cluster_snapshot(mmap=False)": lambda path: load_cluster_snapshot(
+        path, mmap=False
+    ),
+    "ClusterService.from_snapshot": lambda path: ClusterService.from_snapshot(
+        path, workers=1
+    ),
+}
 
 
 def _sample_codes(service, n=512, seed=7):
@@ -65,11 +102,11 @@ def _sample_codes(service, n=512, seed=7):
 
 
 class TestSnapshotV3:
-    """The cluster snapshot (format v4; the class keeps its v3-era name)."""
+    """The snapshot format (v4; the class keeps its v3-era name)."""
 
     def test_roundtrip_rebuilds_full_directory(self, service, tmp_path):
         path = tmp_path / "cluster.npz"
-        save_cluster_snapshot(service, path)
+        service.save(path)
         snapshot = load_cluster_snapshot(path)
         rebuilt = snapshot.full_directory()
         assert (
@@ -78,9 +115,7 @@ class TestSnapshotV3:
         )
 
     def test_segment_holds_every_compiled_block_once(self, service):
-        buffer = io.BytesIO()
-        save_cluster_snapshot(service, buffer)
-        buffer.seek(0)
+        buffer = io.BytesIO(_snapshot_bytes(service))
         blocks = load_cluster_snapshot(buffer).blocks()
         for tier in (TIER_PAIR, TIER_COUNTRY):
             for code, relay_type in enumerate(RELAY_TYPE_ORDER):
@@ -91,14 +126,11 @@ class TestSnapshotV3:
                     assert blocks[(tier, code)].equal(block)
 
     def test_save_is_deterministic(self, service):
-        a, b = io.BytesIO(), io.BytesIO()
-        save_cluster_snapshot(service, a)
-        save_cluster_snapshot(service, b)
-        assert a.getvalue() == b.getvalue()
+        assert _snapshot_bytes(service) == _snapshot_bytes(service)
 
     def test_mmap_and_eager_loads_agree(self, service, tmp_path):
         path = tmp_path / "cluster.npz"
-        save_cluster_snapshot(service, path)
+        service.save(path)
         lazy = load_cluster_snapshot(path, mmap=True).blocks()
         eager = load_cluster_snapshot(path, mmap=False).blocks()
         assert lazy and set(lazy) == set(eager)
@@ -106,43 +138,21 @@ class TestSnapshotV3:
             assert isinstance(lazy[key].keys, np.memmap)
             assert lazy[key].equal(eager[key])
 
-    def test_v2_snapshot_rejected_with_migrate_hint(self, service):
-        with pytest.raises(ServiceError, match="migrate"):
-            load_cluster_snapshot(io.BytesIO(_v2_bytes(service)))
-
-    def test_v3_snapshot_rejected_by_v2_loader(self, service):
-        buffer = io.BytesIO()
-        save_cluster_snapshot(service, buffer)
-        buffer.seek(0)
-        with pytest.raises(ServiceError, match="cluster snapshot"):
-            RelayDirectory.load(buffer)
-
     def test_unknown_version_rejected(self, service, tmp_path):
         path = tmp_path / "cluster.npz"
-        save_cluster_snapshot(service, path)
+        service.save(path)
         arrays = dict(np.load(path))
         arrays["meta"] = arrays["meta"].copy()
-        arrays["meta"][0] = CLUSTER_SNAPSHOT_VERSION + 1
+        arrays["meta"][0] = SNAPSHOT_VERSION + 1
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)
-        with pytest.raises(ServiceError, match="unknown snapshot version"):
+        with pytest.raises(ServiceError, match="version 5, which cannot be read"):
             load_cluster_snapshot(bad)
 
     def test_sharded_v3_snapshot_refused_with_resave_hint(self, service, tmp_path):
-        # the retired layout: v2 base arrays, meta (3, max_rounds,
-        # num_shards), per-shard segment arrays and a shard manifest
-        directory = service.directory
-        arrays = directory.snapshot_arrays()
-        arrays["meta"] = np.asarray([SNAPSHOT_VERSION + 1, -1, 16], np.int64)
-        block = directory.block(TIER_PAIR, RelayType.COR)
-        arrays["s0_t0_0_keys"] = block.keys
-        arrays["s0_t0_0_indptr"] = block.indptr
-        arrays["shard_manifest"] = np.asarray(
-            [[0, 0, 0, block.num_lanes, block.relays.size]], np.int64
-        )
         path = tmp_path / "sharded-v3.npz"
-        np.savez(path, **arrays)
-        match = r"version 3 .*re-save"
+        np.savez(path, **_sharded_v3_arrays(service.directory))
+        match = r"version 3, .*must be rebuilt"
         for mmap in (True, False):
             with pytest.raises(ServiceError, match=match):
                 load_cluster_snapshot(path, mmap=mmap)
@@ -152,23 +162,11 @@ class TestSnapshotV3:
             ClusterService.from_snapshot(io.BytesIO(path.read_bytes()), workers=1)
         with pytest.raises(ServiceError, match=match):
             ClusterService(str(path), workers=1)
-        with pytest.raises(ServiceError, match="cluster snapshot"):
+        with pytest.raises(ServiceError, match=match):
             RelayDirectory.load(path)
 
-    def test_migrate_v2_to_v3(self, service, tmp_path):
-        assert CLUSTER_SNAPSHOT_VERSION == SNAPSHOT_VERSION + 2
-        dst = tmp_path / "migrated.npz"
-        migrate_snapshot(io.BytesIO(_v2_bytes(service)), dst)
-        snapshot = load_cluster_snapshot(dst)
-        assert (
-            snapshot.full_directory().block_signature()
-            == service.directory.block_signature()
-        )
-
     def test_segment_service_answers_match_in_process(self, service):
-        buffer = io.BytesIO()
-        save_cluster_snapshot(service, buffer)
-        buffer.seek(0)
+        buffer = io.BytesIO(_snapshot_bytes(service))
         segment = load_cluster_snapshot(buffer).segment_service()
         src, dst = _sample_codes(service, n=256)
         for relay_type in RELAY_TYPE_ORDER:
@@ -179,6 +177,79 @@ class TestSnapshotV3:
             assert np.array_equal(
                 got.reduction_ms, want.reduction_ms, equal_nan=True
             )
+
+
+class TestSnapshotDefects:
+    """Fault injection: every defective snapshot is a ServiceError naming
+    the file, from every reader."""
+
+    def _assert_refused(self, path, match):
+        for name, load in SNAPSHOT_LOADERS.items():
+            with pytest.raises(ServiceError, match=match) as info:
+                load(path)
+            assert str(path) in str(info.value), name
+
+    def _save(self, tmp_path, arrays):
+        path = tmp_path / "defective.npz"
+        np.savez(path, **arrays)
+        return path
+
+    def test_missing_file(self, tmp_path):
+        self._assert_refused(tmp_path / "absent.npz", "cannot be read")
+
+    def test_not_a_zip(self, tmp_path):
+        path = tmp_path / "notes.npz"
+        path.write_text("not a snapshot\n")
+        self._assert_refused(path, "cannot be read")
+
+    def test_truncated(self, service, tmp_path):
+        path = tmp_path / "truncated.npz"
+        data = _snapshot_bytes(service)
+        path.write_bytes(data[: len(data) // 2])
+        self._assert_refused(path, "cannot be read")
+
+    def test_missing_meta(self, service, tmp_path):
+        arrays = service.directory.snapshot_arrays()
+        del arrays["meta"]
+        self._assert_refused(self._save(tmp_path, arrays), "no meta member")
+
+    def test_missing_base_member(self, service, tmp_path):
+        arrays = service.directory.snapshot_arrays()
+        del arrays["endpoint_cc"]
+        self._assert_refused(
+            self._save(tmp_path, arrays), re.escape("lacks members ['endpoint_cc']")
+        )
+
+    def test_version_2(self, service, tmp_path):
+        arrays = _base_arrays(service.directory)
+        arrays["meta"] = np.asarray([2, -1], np.int64)
+        self._assert_refused(
+            self._save(tmp_path, arrays), r"version 2, .*must be rebuilt"
+        )
+
+    def test_version_3(self, service, tmp_path):
+        arrays = _sharded_v3_arrays(service.directory)
+        self._assert_refused(
+            self._save(tmp_path, arrays), r"version 3, .*must be rebuilt"
+        )
+
+    def test_defective_buffers(self, service):
+        data = _snapshot_bytes(service)
+        for defect in (b"not a snapshot\n", data[: len(data) // 2]):
+            for load in (
+                RelayDirectory.load,
+                ShortcutService.from_snapshot,
+                load_cluster_snapshot,
+            ):
+                with pytest.raises(ServiceError, match="<buffer> cannot be read"):
+                    load(io.BytesIO(defect))
+
+    def test_unknown_version(self, service, tmp_path):
+        arrays = service.directory.snapshot_arrays()
+        arrays["meta"] = np.asarray([99, -1], np.int64)
+        self._assert_refused(
+            self._save(tmp_path, arrays), r"version 99, .*must be rebuilt"
+        )
 
 
 class TestGoldenDigests:
@@ -232,19 +303,19 @@ class TestClusterInvariance:
                 ids[0], ids[1]
             )
 
-    def test_from_snapshot_serves_v2_and_v3(self, service, tmp_path):
+    def test_from_snapshot_serves_path_and_buffer(self, service, tmp_path):
         src, dst = _sample_codes(service, n=128)
         want = service.route_many(src, dst, RelayType.COR, 3)
-        v3 = tmp_path / "v3.npz"
-        save_cluster_snapshot(service, v3)
-        for file in (v3, io.BytesIO(_v2_bytes(service))):
+        path = tmp_path / "snapshot.npz"
+        service.save(path)
+        for file in (path, io.BytesIO(_snapshot_bytes(service))):
             with ClusterService.from_snapshot(file, workers=2) as cluster:
                 got = cluster.route_many(src, dst, RelayType.COR, 3)
                 assert np.array_equal(got.relay_ids, want.relay_ids)
 
     def test_constructor_validation(self, service, tmp_path):
-        path = tmp_path / "v3.npz"
-        save_cluster_snapshot(service, path)
+        path = tmp_path / "snapshot.npz"
+        service.save(path)
         for kwargs in (
             {"workers": 0},
             {"capacity": 0},
@@ -295,7 +366,7 @@ class TestIngestSwap:
         )
         full = ShortcutService.from_campaign(small_campaign_result)
         path = tmp_path / "partial.npz"
-        save_cluster_snapshot(partial, path)
+        partial.save(path)
         src, dst = _sample_codes(full, n=200)
         # no master attached: ingest must rebuild one from the snapshot
         with ClusterService.from_snapshot(path, workers=1) as cluster:

@@ -5,6 +5,7 @@ The expensive end-to-end runs all share one class-scoped artifact pair
 world-snapshot cache); everything else is unit-level and cheap.
 """
 
+import hashlib
 import json
 import math
 
@@ -34,6 +35,10 @@ from repro.errors import AnalysisError, ConfigError, UnknownScenarioError
 from repro.scenarios import Regime, get_regime, list_regimes, regime_names
 from repro.util.rand import derive_rng
 from repro.world import WorldConfig
+
+#: BLAKE2 digest of the 1-worker ``tiny-mc`` artifact below, ``timing``
+#: excluded (JSON, sorted keys).
+GOLDEN_TINY_MC_DIGEST = "9d9859c75d9de835ad39ef79ff9b3dc3"
 
 
 def _tiny_config(**overrides) -> MonteCarloConfig:
@@ -330,6 +335,14 @@ class TestMonteCarloRun:
         a = {k: v for k, v in artifact.items() if k != "timing"}
         b = {k: v for k, v in parallel_artifact.items() if k != "timing"}
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_artifact_golden_digest(self, artifact):
+        deterministic = {k: v for k, v in artifact.items() if k != "timing"}
+        text = json.dumps(deterministic, sort_keys=True)
+        assert (
+            hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+            == GOLDEN_TINY_MC_DIGEST
+        )
 
     def test_draw_stream_independent_of_batch_size(self, cache_dir, artifact):
         # forced to the cap, a different batching consumes the same draws

@@ -1,18 +1,46 @@
 """Tests for the VIA-style predictor and the 1-vs-2-relay study."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.analysis.multihop import two_relay_study
-from repro.core.oracle import (
-    LaneHistory,
-    RelayPredictor,
-    evaluate_prediction,
-    evaluate_prediction_loop,
-)
+from repro.core.oracle import LaneHistory, evaluate_prediction
 from repro.core.results import CampaignResult, PairObservation
+from repro.core.table import ObservationTable
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import AnalysisError
+
+#: ``evaluate_prediction`` on ``small_campaign_result`` per (relay type, k):
+#: ``(evaluated, hit_at_k, captured_gain_frac)``, recorded while a
+#: per-observation loop evaluation still existed and bit-equal to it.
+GOLDEN_PREDICTION_SCORES = {
+    ("COR", 1): (75, 7, 0.22450470739982714),
+    ("COR", 3): (75, 21, 0.5586926909910447),
+    ("COR", 5): (75, 25, 0.6543998409908685),
+    ("PLR", 1): (21, 2, 0.18339482717777753),
+    ("PLR", 3): (21, 3, 0.3306699353772732),
+    ("PLR", 5): (21, 4, 0.43817202828319096),
+    ("RAR_OTHER", 1): (59, 13, 0.4929301491201456),
+    ("RAR_OTHER", 3): (59, 28, 0.7819796683081438),
+    ("RAR_OTHER", 5): (59, 36, 0.8624330780873382),
+    ("RAR_EYE", 1): (6, 2, 0.3333333333333333),
+    ("RAR_EYE", 3): (6, 2, 0.3333333333333333),
+    ("RAR_EYE", 5): (6, 2, 0.3333333333333333),
+}
+#: ``LaneHistory.predict_ccs(cc1, cc2, 4)`` for every lane of the full
+#: ``small_campaign_result`` history, in lane-key order: the lane count
+#: and a BLAKE2 digest of the ``((cc1, cc2), prediction)`` rows (equal to
+#: the per-observation loop predictor's when recorded).
+GOLDEN_LANE_PREDICTIONS = {
+    "COR": (89, "2a1c390891b4ac7fb91afe7bfdfdc549"),
+    "RAR_OTHER": (74, "070c49162d4b23606838eab7d0a5bbde"),
+}
+
+
+def _blake(obj) -> str:
+    return hashlib.blake2b(repr(obj).encode(), digest_size=16).hexdigest()
 
 
 def _obs(round_index, cc1, cc2, improving, direct=100.0):
@@ -31,30 +59,37 @@ def _obs(round_index, cc1, cc2, improving, direct=100.0):
     )
 
 
-class TestRelayPredictor:
+def _history(observations) -> LaneHistory:
+    return LaneHistory.from_table(ObservationTable.from_observations(observations))
+
+
+class TestLaneHistoryPredictor:
+    """The frequency-based predictor (:class:`LaneHistory`) on hand-built
+    histories."""
+
     def test_predicts_most_frequent(self):
-        predictor = RelayPredictor()
-        for _ in range(3):
-            predictor.observe(_obs(0, "DE", "US", [(1, 10.0), (2, 5.0)]))
-        predictor.observe(_obs(0, "DE", "US", [(2, 5.0)]))
-        predictor.observe(_obs(0, "DE", "US", [(3, 50.0)]))
+        history = _history(
+            [_obs(0, "DE", "US", [(1, 10.0), (2, 5.0)])] * 3
+            + [_obs(0, "DE", "US", [(2, 5.0)]), _obs(0, "DE", "US", [(3, 50.0)])]
+        )
         # relay 2 improved 4 times, relay 1 three times, relay 3 once
-        assert predictor.predict(_obs(1, "DE", "US", []), k=2) == [2, 1]
+        assert history.predict_ccs("DE", "US", k=2) == [2, 1]
 
     def test_country_pair_key_symmetric(self):
-        predictor = RelayPredictor()
-        predictor.observe(_obs(0, "DE", "US", [(7, 10.0)]))
-        assert predictor.predict(_obs(1, "US", "DE", []), k=1) == [7]
+        history = _history([_obs(0, "DE", "US", [(7, 10.0)])])
+        assert history.predict_ccs("US", "DE", k=1) == [7]
 
     def test_no_history_predicts_empty(self):
-        predictor = RelayPredictor()
-        assert predictor.predict(_obs(0, "FR", "JP", []), k=3) == []
-        assert not predictor.has_history(_obs(0, "FR", "JP", []))
+        history = _history(
+            [_obs(0, "DE", "US", [(7, 10.0)]), _obs(0, "FR", "JP", [])]
+        )
+        assert history.predict_ccs("FR", "JP", k=3) == []
+        assert history.num_lanes == 1
 
     def test_bad_k(self):
-        predictor = RelayPredictor()
+        history = _history([_obs(0, "DE", "US", [(7, 10.0)])])
         with pytest.raises(AnalysisError):
-            predictor.predict(_obs(0, "DE", "US", []), k=0)
+            history.predict_ccs("DE", "US", k=0)
 
 
 class TestEvaluatePrediction:
@@ -87,36 +122,32 @@ class TestEvaluatePrediction:
 
 
 class TestColumnarParity:
-    """The columnar predictor/evaluation must be bit-equal to the loops."""
+    """The columnar predictor/evaluation against committed golden values."""
 
     def test_evaluate_prediction_bit_equal(self, small_campaign_result):
         for relay_type in RELAY_TYPE_ORDER:
             for k in (1, 3, 5):
-                columnar = evaluate_prediction(small_campaign_result, relay_type, k)
-                loop = evaluate_prediction_loop(small_campaign_result, relay_type, k)
-                assert columnar.evaluated == loop.evaluated
-                assert columnar.hit_at_k == loop.hit_at_k
-                # bit-equal, not approximately equal: the columnar path
-                # accumulates the captured-gain sum in the loop's order
-                assert columnar.captured_gain_frac == loop.captured_gain_frac
+                score = evaluate_prediction(small_campaign_result, relay_type, k)
+                # bit-equal, not approximately equal: the captured-gain sum
+                # is accumulated in case order
+                assert (
+                    score.evaluated, score.hit_at_k, score.captured_gain_frac
+                ) == GOLDEN_PREDICTION_SCORES[(relay_type.value, k)]
 
     def test_lane_history_matches_loop_predictor(self, small_campaign_result):
+        """Every lane's prediction equals the recorded per-observation
+        loop predictor's."""
         table = small_campaign_result.table
+        names = table.pools.countries.values
         for relay_type in (RelayType.COR, RelayType.RAR_OTHER):
             history = LaneHistory.from_table(table, relay_type)
-            predictor = RelayPredictor(relay_type)
-            for obs in small_campaign_result.observations():
-                predictor.observe(obs)
-            seen = set()
-            for obs in small_campaign_result.observations():
-                key = tuple(sorted((obs.e1_cc, obs.e2_cc)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                assert history.predict_ccs(obs.e1_cc, obs.e2_cc, 4) == (
-                    predictor.predict(obs, 4)
-                )
-            assert history.num_lanes <= len(seen)
+            rows = []
+            for key in history.lane_keys.tolist():
+                pair = (names[key >> 32], names[key & 0xFFFFFFFF])
+                rows.append((pair, history.predict_ccs(*pair, 4)))
+            assert (len(rows), _blake(rows)) == GOLDEN_LANE_PREDICTIONS[
+                relay_type.value
+            ]
 
     def test_lane_history_unknown_country_empty(self, small_campaign_result):
         history = LaneHistory.from_table(small_campaign_result.table)
@@ -136,8 +167,6 @@ class TestColumnarParity:
             pytest.skip("fixture evaluated nothing")
         with pytest.raises(AnalysisError):
             evaluate_prediction(small_campaign_result, RelayType.COR, 0)
-        with pytest.raises(AnalysisError):
-            evaluate_prediction_loop(small_campaign_result, RelayType.COR, 0)
 
 
 class TestTwoRelayStudy:

@@ -13,8 +13,8 @@ from repro.analysis.scenarios import (
 from repro.errors import ConfigError
 from repro.scenarios import (
     Scenario,
-    all_scenarios,
     get_scenario,
+    list_scenarios,
     register,
     scenario_names,
     scenario_with,
@@ -38,7 +38,7 @@ EXPECTED_PRESETS = (
 class TestRegistry:
     def test_all_presets_registered(self):
         assert set(EXPECTED_PRESETS) <= set(scenario_names())
-        assert [s.name for s in all_scenarios()] == list(scenario_names())
+        assert [s.name for s in list_scenarios()] == list(scenario_names())
 
     def test_get_by_name(self):
         for name in EXPECTED_PRESETS:
@@ -83,7 +83,7 @@ class TestRegistry:
 
     def test_service_expectations_opt_in(self):
         # like expect: absent keys are not asserted; set values are sane
-        for scenario in all_scenarios():
+        for scenario in list_scenarios():
             floor = scenario.service_expect.get("min_relay_answer_frac")
             assert floor is None or 0.0 < floor <= 1.0, scenario.name
         for name in ("baseline", "paper-scale"):

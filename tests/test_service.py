@@ -16,8 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from repro.core.oracle import RelayPredictor
-from repro.core.results import PairObservation
+from repro.core.oracle import LaneHistory
 from repro.core.table import ObservationTable
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import EmptyDirectoryError, ServiceError, UnknownEndpointError
@@ -33,7 +32,6 @@ from repro.service import (
     ShortcutService,
     replay,
 )
-from repro.service.cluster import save_cluster_snapshot
 
 #: Answers of the ``service`` fixture over every ``(src, dst)`` cell of its
 #: endpoint codes, -1 included: a BLAKE2 digest of relay ids, reductions
@@ -70,14 +68,13 @@ GOLDEN_GUARDED_COUNTERS = {
     "fallback_country": 694,
     "direct": 3142,
 }
-#: BLAKE2 digests of the fixture's v2 (``save``) and v4 (cluster) snapshots.
-GOLDEN_V2_SNAPSHOT = "2fc2cdd61204de73ff0ae7fc6c9324dd"
+#: BLAKE2 digest of the fixture's snapshot bytes (format v4).
 GOLDEN_V4_SNAPSHOT = "5ef23093ca28645d208c1690d5e66d08"
 
 
 @pytest.fixture(scope="module")
 def service(small_campaign_result):
-    return ShortcutService.from_result(small_campaign_result)
+    return ShortcutService.from_campaign(small_campaign_result)
 
 
 def _snapshot_bytes(svc: ShortcutService) -> bytes:
@@ -141,8 +138,8 @@ def _answers_by_ids(svc, ids, relay_type, k=3):
 
 class TestDirectoryCompile:
     def test_snapshot_deterministic(self, small_campaign_result):
-        a = ShortcutService.from_result(small_campaign_result)
-        b = ShortcutService.from_result(small_campaign_result)
+        a = ShortcutService.from_campaign(small_campaign_result)
+        b = ShortcutService.from_campaign(small_campaign_result)
         assert _snapshot_bytes(a) == _snapshot_bytes(b)
         assert a.directory.block_signature() == b.directory.block_signature()
 
@@ -176,30 +173,22 @@ class TestDirectoryCompile:
                     assert order == sorted(order), "lane not (-count, relay) ranked"
         assert checked > 0
 
-    def test_country_ranking_matches_loop_predictor(
+    def test_country_ranking_matches_lane_history(
         self, small_campaign_result, service
     ):
-        """The country tier is the vectorised VIA predictor: same ranking
-        as the loop RelayPredictor for every lane."""
-        predictor = RelayPredictor(RelayType.COR)
-        for obs in small_campaign_result.observations():
-            predictor.observe(obs)
+        """The country tier is the VIA predictor: same ranking as
+        :class:`LaneHistory` (golden-pinned in test_oracle_multihop) for
+        every lane."""
+        history = LaneHistory.from_table(small_campaign_result.table, RelayType.COR)
         directory = service.directory
         block = directory.block(TIER_COUNTRY, RelayType.COR)
         names = directory.countries()
-        assert block.num_lanes > 0
+        assert block.num_lanes == history.num_lanes > 0
         for lane in range(block.num_lanes):
             start = int(block.indptr[lane])
             ranked = block.relays[start:int(block.indptr[lane + 1])][:5]
             lo, hi = _unpack(block.keys[lane])
-            probe = PairObservation(
-                round_index=0, e1_id="x", e2_id="y",
-                e1_cc=names[lo], e2_cc=names[hi],
-                e1_city="c/x", e2_city="c/y", direct_rtt_ms=1.0,
-                best_by_type={}, improving_by_type={}, feasible_by_type={},
-            )
-            expected = predictor.predict(probe, 5)
-            assert ranked.tolist() == expected
+            assert ranked.tolist() == history.predict_ccs(names[lo], names[hi], 5)
 
     def test_expected_reduction_is_mean_gain(self, small_campaign_result, service):
         """Reductions equal the mean observed improvement per (lane, relay)."""
@@ -224,7 +213,7 @@ class TestDirectoryCompile:
     def test_lookup_index_bytes(self, small_campaign_result):
         """Indexes are built per queried relay type, once, and dropped
         when the compiled blocks change."""
-        svc = ShortcutService.from_result(small_campaign_result)
+        svc = ShortcutService.from_campaign(small_campaign_result)
         directory = svc.directory
         assert directory.stats()["lookup_index_bytes"] == 0
         src, dst = _grid(directory)
@@ -551,7 +540,7 @@ class TestIngest:
         for relay_type in RELAY_TYPE_ORDER:  # query before the next ingest
             _grid_digest(svc, relay_type, (3,))
         svc.ingest_round(rounds[1])
-        scratch = ShortcutService.from_result(
+        scratch = ShortcutService.from_campaign(
             small_campaign_result, rounds=rounds[:2]
         )
         assert svc.directory.endpoint_ids() == scratch.directory.endpoint_ids()
@@ -574,7 +563,7 @@ class TestIngest:
             rt: _answers_by_ids(svc, ids, rt) for rt in RELAY_TYPE_ORDER
         }
         svc.ingest_round(rounds[2])  # evicts round 0
-        scratch = ShortcutService.from_result(
+        scratch = ShortcutService.from_campaign(
             small_campaign_result, rounds=rounds[1:], max_rounds=2
         )
         # identities outlive the window by design, lanes decay: compare
@@ -609,7 +598,7 @@ class TestIngest:
         incremental = ShortcutService.empty(max_rounds=2)
         for rnd in small_campaign_result.rounds:
             incremental.ingest_round(rnd)
-        scratch = ShortcutService.from_result(
+        scratch = ShortcutService.from_campaign(
             small_campaign_result,
             rounds=small_campaign_result.rounds[1:],
             max_rounds=2,
@@ -696,12 +685,12 @@ class TestSnapshot:
 
     def test_roundtrip_keeps_ingesting(self, small_campaign_result):
         """A restored service continues incremental ingestion seamlessly."""
-        svc = ShortcutService.from_result(
+        svc = ShortcutService.from_campaign(
             small_campaign_result, rounds=small_campaign_result.rounds[:-1]
         )
         restored = ShortcutService.load(io.BytesIO(_snapshot_bytes(svc)))
         restored.ingest_round(small_campaign_result.rounds[-1])
-        reference = ShortcutService.from_result(small_campaign_result)
+        reference = ShortcutService.from_campaign(small_campaign_result)
         assert (
             restored.directory.block_signature()
             == reference.directory.block_signature()
@@ -710,10 +699,7 @@ class TestSnapshot:
     def test_snapshot_bytes_golden_after_queries(self, service):
         for relay_type in RELAY_TYPE_ORDER:
             _grid_digest(service, relay_type, (3,))
-        assert _blake(_snapshot_bytes(service)) == GOLDEN_V2_SNAPSHOT
-        buffer = io.BytesIO()
-        save_cluster_snapshot(service, buffer)
-        assert _blake(buffer.getvalue()) == GOLDEN_V4_SNAPSHOT
+        assert _blake(_snapshot_bytes(service)) == GOLDEN_V4_SNAPSHOT
 
     def test_unknown_version_rejected(self, service):
         data = np.load(io.BytesIO(_snapshot_bytes(service)))
@@ -738,13 +724,13 @@ class TestLoadgen:
     def test_replay_digest_invariant_in_worker_count(self, service):
         a = replay(service, LoadgenConfig(num_queries=6_000, workers=1))
         b = replay(service, LoadgenConfig(num_queries=6_000, workers=3))
-        assert a["answers_digest"] == b["answers_digest"]
-        assert a["tier_counts"] == b["tier_counts"]
+        assert a.answers_digest == b.answers_digest
+        assert a.tier_counts == b.tier_counts
 
     def test_replay_digest_depends_on_seed(self, service):
         a = replay(service, LoadgenConfig(num_queries=4_000, seed=1))
         b = replay(service, LoadgenConfig(num_queries=4_000, seed=2))
-        assert a["answers_digest"] != b["answers_digest"]
+        assert a.answers_digest != b.answers_digest
 
     def test_zipf_skews_toward_populous_countries(self, service):
         directory = service.directory
@@ -774,13 +760,13 @@ class TestLoadgen:
 
     def test_replay_stats_shape(self, service):
         stats = replay(service, LoadgenConfig(num_queries=3_000, batch_size=256))
-        assert stats["queries"] == 3_000
-        assert stats["batches"] == 12
-        assert sum(stats["tier_counts"].values()) == 3_000
-        assert 0.0 <= stats["relay_answer_frac"] <= 1.0
-        assert stats["queries_per_s"] is None or stats["queries_per_s"] > 0
+        assert stats.queries == 3_000
+        assert stats.batches == 12
+        assert sum(stats.tier_counts.values()) == 3_000
+        assert 0.0 <= stats.relay_answer_frac <= 1.0
+        assert stats.queries_per_s is None or stats.queries_per_s > 0
         assert 0.0 < stats.latency_p50_ms <= stats.latency_p99_ms
-        assert stats["latency_p99_ms"] == stats.latency_p99_ms
+        assert stats.as_dict()["latency_p99_ms"] == stats.latency_p99_ms
 
     def test_config_validation(self):
         for bad in (

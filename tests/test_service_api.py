@@ -1,8 +1,7 @@
 """The redesigned service API surface.
 
-Covers the contract the redesign promises: the deprecated bare
-constructor is a byte-identical shim over the classmethods, the legacy
-spellings forward exactly, answers and replay summaries are typed, the
+Covers the contract the redesign promises: every classmethod funnels
+through the one constructor, answers and replay summaries are typed, the
 CLI exposes one unified flag vocabulary across subcommands, and the
 documented surface equals the exported one (the CI check runs as a
 tier-1 test here too).
@@ -20,13 +19,10 @@ import pytest
 
 from repro.cli import build_parser
 from repro.core.types import RelayType
-from repro.errors import ServiceError
 from repro.service import (
     TIER_NAMES,
     LoadgenConfig,
-    RelayDirectory,
     RouteAnswer,
-    RouteDecision,
     ServiceStats,
     ShortcutService,
     replay,
@@ -46,54 +42,17 @@ def _snapshot_bytes(svc: ShortcutService) -> bytes:
     return buffer.getvalue()
 
 
-class TestDeprecatedConstructor:
-    def test_shim_warns_and_is_byte_identical(self, small_campaign_result):
-        with pytest.warns(DeprecationWarning, match="from_campaign"):
-            legacy = ShortcutService(max_rounds=2)
-        modern = ShortcutService.empty(max_rounds=2)
-        for rnd in small_campaign_result.rounds:
-            legacy.ingest_round(rnd)
-            modern.ingest_round(rnd)
-        assert _snapshot_bytes(legacy) == _snapshot_bytes(modern)
-
-    def test_shim_wraps_directory_like_from_directory(self, service):
-        directory = service.directory
-        with pytest.warns(DeprecationWarning):
-            legacy = ShortcutService(directory)
-        modern = ShortcutService.from_directory(directory)
-        assert legacy.directory is modern.directory
-        assert legacy.default_k == modern.default_k
-        assert _snapshot_bytes(legacy) == _snapshot_bytes(modern)
-
-    def test_shim_rejects_directory_plus_max_rounds(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ServiceError):
-                ShortcutService(RelayDirectory(), max_rounds=2)
-
-    def test_classmethods_do_not_warn(self, small_campaign_result, recwarn):
-        ShortcutService.empty(max_rounds=2)
-        ShortcutService.from_campaign(small_campaign_result)
-        deprecations = [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
-        assert not deprecations
-
-
 class TestConstructorEquivalence:
-    def test_from_result_forwards_to_from_campaign(
-        self, small_campaign_result
-    ):
-        legacy = ShortcutService.from_result(
-            small_campaign_result,
-            max_rounds=2,
-            rounds=small_campaign_result.rounds[1:],
+    def test_constructor_equals_from_directory(self, service):
+        direct = ShortcutService(service.directory, k=5, liveness_rounds=2)
+        modern = ShortcutService.from_directory(
+            service.directory, k=5, liveness_rounds=2
         )
-        modern = ShortcutService.from_campaign(
-            small_campaign_result,
-            max_rounds=2,
-            rounds=small_campaign_result.rounds[1:],
+        assert direct.directory is modern.directory
+        assert (direct.default_k, direct.liveness_rounds, direct.spill) == (
+            modern.default_k, modern.liveness_rounds, modern.spill
         )
-        assert _snapshot_bytes(legacy) == _snapshot_bytes(modern)
+        assert _snapshot_bytes(direct) == _snapshot_bytes(modern)
 
     def test_load_forwards_to_from_snapshot(self, service):
         data = _snapshot_bytes(service)
@@ -125,9 +84,6 @@ class TestTypedResults:
         with pytest.raises(dataclasses.FrozenInstanceError):
             answer.tier = "direct"
 
-    def test_route_decision_is_deprecated_alias(self):
-        assert RouteDecision is RouteAnswer
-
     def test_replay_returns_typed_stats(self, service):
         config = LoadgenConfig(num_queries=2048, batch_size=512)
         stats = replay(service, config)
@@ -139,15 +95,15 @@ class TestTypedResults:
         assert 0.0 <= stats.relay_answer_frac <= 1.0
         assert isinstance(stats.answers_digest, str)
 
-    def test_stats_mapping_bridge_and_as_dict(self, service):
+    def test_stats_as_dict(self, service):
         config = LoadgenConfig(num_queries=1024, batch_size=512)
         stats = replay(service, config)
-        # legacy dict-style consumers keep working through the bridge
-        assert stats["queries"] == stats.queries
-        assert stats["workers"] == stats.loadgen_workers
         as_dict = stats.as_dict()
         assert as_dict["queries"] == stats.queries
+        assert as_dict["loadgen_workers"] == stats.loadgen_workers
         assert as_dict["tier_counts"] == stats.tier_counts
+        with pytest.raises(TypeError):
+            stats["queries"]  # attributes only: no mapping access
 
 
 class TestUnifiedCliFlags:
@@ -188,11 +144,15 @@ class TestUnifiedCliFlags:
         assert args.countries == 12
         assert args.scenario == ["lossy"]
 
-    def test_zipf_is_deprecated_alias(self, capsys):
-        args = build_parser().parse_args(["serve-bench", "--zipf", "1.3"])
+    def test_zipf_is_prefix_of_zipf_exponent(self, capsys):
+        parser = build_parser()
+        args = parser.parse_args(["serve-bench", "--zipf", "1.3"])
         assert args.zipf_exponent == 1.3
-        err = capsys.readouterr().err
-        assert "deprecated" in err and "--zipf-exponent" in err
+        assert capsys.readouterr().err == ""
+        # argparse's unique-prefix abbreviation, not a flag of its own
+        serve = parser._subparsers._group_actions[0].choices["serve-bench"]
+        assert "--zipf" not in serve._option_string_actions
+        assert "--zipf-exponent" in serve._option_string_actions
 
     def test_alias_absence_keeps_new_default(self, capsys):
         args = build_parser().parse_args(["serve-bench"])

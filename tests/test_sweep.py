@@ -1,5 +1,6 @@
 """Tests for the multi-seed sweep runner and its CLI subcommand."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.config import CampaignConfig
 from repro.core.sweep import (
-    SweepConfig,
     SweepEntry,
     SweepRequest,
     SweepResult,
@@ -18,32 +18,39 @@ from repro.core.types import RELAY_TYPE_ORDER
 from repro.errors import ConfigError, UnknownScenarioError
 from repro.scenarios import get_scenario
 
+#: BLAKE2 digest of ``as_dict(include_timing=False)`` (JSON, sorted keys)
+#: for the baseline sweep over seeds 3 and 4, 1 round, 8 countries.
+GOLDEN_SWEEP_DIGEST = "693b524c2a90bc9f7e4ef2cfbd15133a"
 
-class TestSweepConfig:
-    def test_rejects_empty_seeds(self):
-        with pytest.raises(ConfigError):
-            SweepConfig(seeds=())
 
-    def test_rejects_duplicate_seeds(self):
-        with pytest.raises(ConfigError):
-            SweepConfig(seeds=(3, 3))
-
-    def test_rejects_bad_rounds_and_workers(self):
-        with pytest.raises(ConfigError):
-            SweepConfig(seeds=(1,), rounds=0)
-        with pytest.raises(ConfigError):
-            SweepConfig(seeds=(1,), workers=0)
-
-    def test_rejects_bad_scenarios(self):
-        with pytest.raises(ConfigError):
-            SweepConfig(seeds=(1,), scenarios=())
-        with pytest.raises(ConfigError):
-            SweepConfig(seeds=(1,), scenarios=("baseline", "baseline"))
-        with pytest.raises(ConfigError):
-            SweepConfig(seeds=(1,), scenarios=("no-such-regime",))
+def _artifact_digest(result: SweepResult) -> str:
+    text = json.dumps(result.as_dict(include_timing=False), sort_keys=True)
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
 class TestSweepRequest:
+    def test_from_scenario_rejects_empty_seeds(self):
+        with pytest.raises(ConfigError):
+            SweepRequest.from_scenario("baseline", seeds=())
+
+    def test_from_scenario_rejects_duplicate_seeds(self):
+        with pytest.raises(ConfigError):
+            SweepRequest.from_scenario("baseline", seeds=(3, 3))
+
+    def test_from_scenario_rejects_bad_rounds_and_workers(self):
+        with pytest.raises(ConfigError):
+            SweepRequest.from_scenario("baseline", seeds=(1,), rounds=0)
+        with pytest.raises(ConfigError):
+            SweepRequest.from_scenario("baseline", seeds=(1,), workers=0)
+
+    def test_from_scenario_rejects_bad_scenarios(self):
+        with pytest.raises(ConfigError):
+            SweepRequest.from_scenario((), seeds=(1,))
+        with pytest.raises(ConfigError):
+            SweepRequest.from_scenario(("baseline", "baseline"), seeds=(1,))
+        with pytest.raises(ConfigError):
+            SweepRequest.from_scenario(("no-such-regime",), seeds=(1,))
+
     def test_rejects_empty_entries(self):
         with pytest.raises(ConfigError):
             SweepRequest(entries=())
@@ -66,17 +73,6 @@ class TestSweepRequest:
         with pytest.raises(UnknownScenarioError):
             SweepRequest.from_scenario("no-such-regime", seeds=(1,))
 
-    def test_from_config_is_lossless(self):
-        config = SweepConfig(
-            seeds=(3, 4), rounds=2, countries=8,
-            scenarios=("baseline", "lossy"), workers=2,
-        )
-        request = SweepRequest.from_config(config)
-        assert [e.label for e in request.entries] == ["baseline", "lossy"]
-        assert request.shared_seeds == (3, 4)
-        assert request.rounds == 2
-        assert request.workers == 2
-
     def test_from_configs_runs_without_registry(self):
         request = SweepRequest.from_configs(
             campaign=CampaignConfig(relay_mix=("COR", "PLR")),
@@ -84,7 +80,7 @@ class TestSweepRequest:
             expect={"cases_observed": True, "rar_relays_observed": False},
         )
         result = run_sweep(request)
-        assert result["config"]["scenarios"] == ["ad-hoc"]
+        assert result.config["scenarios"] == ["ad-hoc"]
         assert result.scenarios["ad-hoc"]["expectations"]["ok"] is True
         assert result.per_seed[0]["win_rate_RAR_OTHER"] == 0.0
 
@@ -102,10 +98,14 @@ class TestSweepRequest:
 
 class TestRunSweep:
     @pytest.fixture(scope="class")
-    def artifact(self):
+    def result(self):
         return run_sweep(
             SweepRequest.from_scenario("baseline", seeds=(3, 4), rounds=1, countries=8)
         )
+
+    @pytest.fixture(scope="class")
+    def artifact(self, result):
+        return result.as_dict()
 
     def test_artifact_shape(self, artifact):
         assert artifact["config"]["seeds"] == [3, 4]
@@ -146,39 +146,37 @@ class TestRunSweep:
         cases = aggregate["total_cases"]
         assert cases["min"] <= cases["mean"] <= cases["max"]
 
-    def test_deterministic_across_worker_counts(self, artifact):
+    def test_deterministic_across_worker_counts(self, result):
         parallel = run_sweep(
             SweepRequest.from_scenario(
                 "baseline", seeds=(3, 4), rounds=1, countries=8, workers=2
             )
         )
-        assert artifact.as_dict(include_timing=False) == (
+        assert result.as_dict(include_timing=False) == (
             parallel.as_dict(include_timing=False)
         )
 
-    def test_result_is_typed_and_bridges_mapping_access(self, artifact):
-        assert isinstance(artifact, SweepResult)
-        assert artifact.shapes_ok == artifact["shapes_ok"]
-        assert set(artifact.keys()) == set(artifact.as_dict())
-        assert dict(artifact.items()) == artifact.as_dict()
-        assert artifact.get("no-such-key") is None
-        assert "workload" in artifact and "no-such-key" not in artifact
-        table = artifact.tables["baseline"]
+    def test_result_is_typed(self, result, artifact):
+        assert isinstance(result, SweepResult)
+        assert result.shapes_ok == artifact["shapes_ok"]
+        assert result.pooled == artifact["pooled"]
+        table = result.tables["baseline"]
         assert isinstance(table, ObservationTable)
-        assert table.num_cases == artifact.pooled["total_cases"]
-        assert "tables" not in artifact.as_dict()
+        assert table.num_cases == result.pooled["total_cases"]
+        assert "tables" not in artifact
+        with pytest.raises(TypeError):
+            result["shapes_ok"]  # attributes only: no mapping access
 
-    def test_sweepconfig_shim_warns_and_matches_byte_for_byte(self, artifact):
-        with pytest.warns(DeprecationWarning, match="SweepRequest"):
-            legacy = run_sweep(SweepConfig(seeds=(3, 4), rounds=1, countries=8))
-        assert json.dumps(legacy.as_dict(include_timing=False)) == (
-            json.dumps(artifact.as_dict(include_timing=False))
-        )
+    def test_artifact_golden_digest(self, result):
+        """The deterministic artifact equals the recorded one (recorded
+        while a pre-redesign request shape still existed, equal on
+        both)."""
+        assert _artifact_digest(result) == GOLDEN_SWEEP_DIGEST
 
     def test_aggregate_none_when_metric_missing_everywhere(self):
         artifact = run_sweep(
             SweepRequest.from_scenario("baseline", seeds=(3,), rounds=1, countries=8)
-        )
+        ).as_dict()
         aggregate = artifact["aggregate"]
         for key, entry in aggregate.items():
             per_seed_values = [m[key] for m in artifact["per_seed"]]
@@ -195,7 +193,7 @@ class TestMultiScenarioSweep:
             SweepRequest.from_scenario(
                 ("baseline", "no-probes"), seeds=(3,), rounds=1, countries=8
             )
-        )
+        ).as_dict()
 
     def test_scenario_major_run_order(self, artifact):
         runs = [(m["scenario"], m["seed"]) for m in artifact["per_seed"]]
@@ -229,13 +227,12 @@ class TestSweepCli:
         assert args.seeds is None
         assert args.scenario is None  # resolved to ("baseline",)
 
-    def test_base_seed_is_deprecated_alias_of_seed(self, capsys):
-        args = build_parser().parse_args(
-            ["sweep", "--base-seed", "7", "--out", "x.json"]
-        )
-        assert args.seed == 7
-        err = capsys.readouterr().err
-        assert "deprecated" in err and "--seed" in err
+    def test_base_seed_is_rejected(self, capsys):
+        """The removed spelling of ``--seed`` is a usage error now."""
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["sweep", "--base-seed", "7"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_parser_out_optional_scenarios_repeatable(self):
         args = build_parser().parse_args(

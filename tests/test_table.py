@@ -1,17 +1,17 @@
 """Table-vs-object equivalence suite for the columnar observation pipeline.
 
 The analyses were rewritten from PairObservation walks to NumPy column
-reductions; this module keeps *frozen copies* of the original object-path
-implementations and asserts, on a real same-seed campaign, that the
-columnar numbers are identical — plus structural round-trips
-(table -> objects -> table, save/load, pickle payload) and ragged-CSR edge
-cases (zero improving / zero feasible relays).
+reductions; the numbers the original object walks produced on a real
+same-seed campaign are committed below as golden values, and the
+columnar analyses are asserted equal to them — plus structural
+round-trips (table -> objects -> table, save/load, pickle payload) and
+ragged-CSR edge cases (zero improving / zero feasible relays).
 """
 
+import hashlib
 import json
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.analysis.countries import CountryChangeAnalysis
@@ -23,128 +23,97 @@ from repro.core.results import PairObservation
 from repro.core.sweep import SweepRequest, run_seed_campaign, run_sweep
 from repro.core.table import NUM_RELAY_TYPES, ObservationTable, TablePools
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
-from repro.util.stats import median
 
 
 # --------------------------------------------------------------------------
-# frozen object-path reference implementations (pre-columnar analysis code)
+# golden values: computed on ``small_campaign_result`` by walking the
+# PairObservation objects with the pre-columnar analysis code
+
+GOLDEN_SUMMARY = {
+    "improved_frac_COR": 0.8718,
+    "median_improvement_ms_COR": 44.37,
+    "frac_gt100ms_of_improved_COR": 0.3445,
+    "median_num_improving_COR": 10.0,
+    "improved_frac_PLR": 0.3004,
+    "median_improvement_ms_PLR": 22.19,
+    "frac_gt100ms_of_improved_PLR": 0.061,
+    "median_num_improving_PLR": 2.0,
+    "improved_frac_RAR_OTHER": 0.6813,
+    "median_improvement_ms_RAR_OTHER": 43.96,
+    "frac_gt100ms_of_improved_RAR_OTHER": 0.3763,
+    "median_num_improving_RAR_OTHER": 5.0,
+    "improved_frac_RAR_EYE": 0.1465,
+    "median_improvement_ms_RAR_EYE": 14.0,
+    "frac_gt100ms_of_improved_RAR_EYE": 0.05,
+    "median_num_improving_RAR_EYE": 1.0,
+}
+#: Per relay type: (improved cases, digest of the per-case best gains in
+#: case order, digest of the clipped fig2 CDF points).
+GOLDEN_BEST_IMPROVEMENTS = {
+    "COR": (238, "a5becc88a2d82e10d5b344a2634cd70f", "686d6097a2090dd39148abcc1a7a7ce8"),
+    "PLR": (82, "16b3eb4bf549eadcfff12b6908c4db57", "b2be8dd22e451dee8d5ac38efc9ad282"),
+    "RAR_OTHER": (186, "ab2ddcc5289b1767b3f3ee787e191eb0", "59d08e46fdb9c094206e42c76ddbe134"),
+    "RAR_EYE": (40, "5b04f357acefddf0867fbf86e6aff854", "802794c1fb70da64b571ce07b0b9c686"),
+}
+#: Per relay type: best-relay country split and usable-group rates, each
+#: (different_total, different_improved, same_total, same_improved).
+GOLDEN_COUNTRY_SPLIT = {
+    "COR": ((184, 169, 89, 69), (273, 217, 228, 152)),
+    "PLR": ((173, 45, 100, 37), (256, 52, 163, 41)),
+    "RAR_OTHER": ((225, 155, 48, 31), (273, 175, 270, 87)),
+    "RAR_EYE": ((154, 24, 118, 16), (265, 24, 207, 18)),
+}
+#: Per relay type: digests of the sorted improvement-frequency items and
+#: of the 25-point fig3 curve.
+GOLDEN_RANKING = {
+    "COR": ("1b44cc479c827eb9a066f93f522632cf", "4d2b06a4e360d6c29a6c7bcc48741511"),
+    "PLR": ("f1a9245de23c5945a661ef6f1fd43d4a", "d838bfcf7a6b03c0286b61ff1f1ca1bf"),
+    "RAR_OTHER": ("38d00cbad031d36507c14da6a3fbf02f", "c9f442ac7163a1ef98b80c10e179eca2"),
+    "RAR_EYE": ("9d8a63674dc88d26d0ce41d9d3ed2bb5", "2d9797669e3fd1a500c85a46eff07eb5"),
+}
+FIG4_THRESHOLDS = [0.0, 5.0, 20.0, 100.0]
+#: Per relay type: the fig4 curve over all relays, then over the top 5.
+GOLDEN_FIG4 = {
+    "COR": (
+        [(0.0, 87.17948717948718), (5.0, 75.0915750915751),
+         (20.0, 61.53846153846154), (100.0, 30.036630036630036)],
+        [(0.0, 57.875457875457876), (5.0, 50.91575091575091),
+         (20.0, 40.29304029304029), (100.0, 24.90842490842491)],
+    ),
+    "PLR": (
+        [(0.0, 30.036630036630036), (5.0, 26.007326007326007),
+         (20.0, 15.750915750915752), (100.0, 1.8315018315018314)],
+        [(0.0, 20.146520146520146), (5.0, 15.750915750915752),
+         (20.0, 9.89010989010989), (100.0, 1.8315018315018314)],
+    ),
+    "RAR_OTHER": (
+        [(0.0, 68.13186813186813), (5.0, 63.73626373626374),
+         (20.0, 50.91575091575091), (100.0, 25.641025641025642)],
+        [(0.0, 50.18315018315018), (5.0, 47.252747252747255),
+         (20.0, 41.391941391941394), (100.0, 25.274725274725274)],
+    ),
+    "RAR_EYE": (
+        [(0.0, 14.652014652014651), (5.0, 10.256410256410257),
+         (20.0, 4.761904761904762), (100.0, 0.7326007326007326)],
+        [(0.0, 13.186813186813186), (5.0, 8.424908424908425),
+         (20.0, 4.395604395604396), (100.0, 0.7326007326007326)],
+    ),
+}
+#: VoIP (direct, COR-relayed) poor-call fractions at the 320 ms threshold.
+GOLDEN_VOIP = (0.27106227106227104, 0.02564102564102564)
+#: ``run_seed_campaign(3, rounds=1, countries=8)``: total cases and, per
+#: relay type, (win rate, median RTT reduction).
+GOLDEN_SEED3_CASES = 21
+GOLDEN_SEED3_METRICS = {
+    "COR": (0.9524, 97.607),
+    "PLR": (0.5238, 103.148),
+    "RAR_OTHER": (0.7619, 79.934),
+    "RAR_EYE": (0.0, None),
+}
 
 
-def _ref_best_improvements(observations, relay_type):
-    values = []
-    for obs in observations:
-        entries = obs.improving_by_type.get(relay_type, ())
-        if entries:
-            values.append(max(gain for _, gain in entries))
-    return values
-
-
-def _ref_improvement_summary(observations):
-    total = len(observations)
-    info = {}
-    for relay_type in RELAY_TYPE_ORDER:
-        values = _ref_best_improvements(observations, relay_type)
-        name = relay_type.value
-        info[f"improved_frac_{name}"] = round(len(values) / total, 4)
-        med = median(values) if values else None
-        info[f"median_improvement_ms_{name}"] = round(med, 2) if med is not None else None
-        count = sum(1 for v in values if v > 100.0)
-        info[f"frac_gt100ms_of_improved_{name}"] = round(count / max(1, len(values)), 4)
-        counts = [
-            len(obs.improving_by_type.get(relay_type, ()))
-            for obs in observations
-            if obs.improving_by_type.get(relay_type, ())
-        ]
-        info[f"median_num_improving_{name}"] = (
-            median([float(c) for c in counts]) if counts else None
-        )
-    return info
-
-
-def _ref_country_split(observations, registry, relay_type):
-    diff_total = diff_improved = same_total = same_improved = 0
-    for obs in observations:
-        entry = obs.best_by_type.get(relay_type)
-        if entry is None:
-            continue
-        idx, stitched = entry
-        relay_cc = registry.get(idx).cc
-        improved = stitched < obs.direct_rtt_ms
-        if relay_cc != obs.e1_cc and relay_cc != obs.e2_cc:
-            diff_total += 1
-            diff_improved += int(improved)
-        else:
-            same_total += 1
-            same_improved += int(improved)
-    return (diff_total, diff_improved, same_total, same_improved)
-
-
-def _ref_group_rates(observations, relay_type):
-    diff_total = diff_improved = same_total = same_improved = 0
-    for obs in observations:
-        flags = obs.country_groups_by_type.get(relay_type)
-        if flags is None:
-            continue
-        usable_same, improving_same, usable_diff, improving_diff = flags
-        if usable_same:
-            same_total += 1
-            same_improved += int(improving_same)
-        if usable_diff:
-            diff_total += 1
-            diff_improved += int(improving_diff)
-    return (diff_total, diff_improved, same_total, same_improved)
-
-
-def _ref_frequency(observations, relay_type):
-    freq = {}
-    for obs in observations:
-        for idx, _ in obs.improving_by_type.get(relay_type, ()):
-            freq[idx] = freq.get(idx, 0) + 1
-    return freq
-
-
-def _ref_fig3(observations, relay_type, max_n):
-    freq = _ref_frequency(observations, relay_type)
-    ranked = sorted(freq, key=lambda i: (-freq[i], i))
-    rank_of = {idx: rank for rank, idx in enumerate(ranked, start=1)}
-    total = len(observations)
-    best_ranks = []
-    for obs in observations:
-        entries = obs.improving_by_type.get(relay_type, ())
-        if entries:
-            best_ranks.append(min(rank_of[idx] for idx, _ in entries))
-    return [
-        (n, 100.0 * sum(1 for rank in best_ranks if rank <= n) / total)
-        for n in range(1, max_n + 1)
-    ]
-
-
-def _ref_fig4(observations, relay_type, thresholds, allowed):
-    total = len(observations)
-    best_gains = []
-    for obs in observations:
-        entries = obs.improving_by_type.get(relay_type, ())
-        gains = [g for idx, g in entries if allowed is None or idx in allowed]
-        if gains:
-            best_gains.append(max(gains))
-    return [
-        (t, 100.0 * sum(1 for g in best_gains if g > t) / total)
-        for t in thresholds
-    ]
-
-
-def _ref_voip(observations, threshold, relay_type):
-    total = len(observations)
-    direct_poor = sum(1 for o in observations if o.direct_rtt_ms > threshold)
-    relayed_poor = 0
-    for obs in observations:
-        effective = obs.direct_rtt_ms
-        stitched = obs.best_stitched(relay_type)
-        if stitched is not None and stitched < effective:
-            effective = stitched
-        if effective > threshold:
-            relayed_poor += 1
-    return direct_poor / total, relayed_poor / total
+def _blake(obj) -> str:
+    return hashlib.blake2b(repr(obj).encode(), digest_size=16).hexdigest()
 
 
 # --------------------------------------------------------------------------
@@ -159,22 +128,17 @@ def campaign(small_campaign_result):
 
 class TestObjectPathEquivalence:
     def test_improvement_summary(self, campaign):
-        result, observations = campaign
-        assert ImprovementAnalysis(result).summary() == _ref_improvement_summary(
-            observations
-        )
+        result, _ = campaign
+        assert ImprovementAnalysis(result).summary() == GOLDEN_SUMMARY
 
     def test_best_improvement_lists(self, campaign):
-        from repro.util.stats import cdf_points
-
-        result, observations = campaign
+        result, _ = campaign
         analysis = ImprovementAnalysis(result)
         for relay_type in RELAY_TYPE_ORDER:
-            values = _ref_best_improvements(observations, relay_type)
-            assert analysis.improvements(relay_type) == values
-            clipped = [v for v in values if 1.0 <= v <= 200.0]
-            expected = cdf_points(clipped) if clipped else []
-            assert analysis.fig2_cdf(relay_type) == expected
+            values = analysis.improvements(relay_type)
+            assert (
+                len(values), _blake(values), _blake(analysis.fig2_cdf(relay_type))
+            ) == GOLDEN_BEST_IMPROVEMENTS[relay_type.value]
 
     def test_improved_fraction_matches_object_walk(self, campaign):
         result, observations = campaign
@@ -183,23 +147,15 @@ class TestObjectPathEquivalence:
             assert result.improved_fraction(relay_type) == improved / len(observations)
 
     def test_country_split_and_groups(self, campaign):
-        result, observations = campaign
+        result, _ = campaign
         analysis = CountryChangeAnalysis(result)
         for relay_type in RELAY_TYPE_ORDER:
             split = analysis.split(relay_type)
-            assert (
-                split.different_total,
-                split.different_improved,
-                split.same_total,
-                split.same_improved,
-            ) == _ref_country_split(observations, result.registry, relay_type)
             rates = analysis.group_rates(relay_type)
-            assert (
-                rates.different_total,
-                rates.different_improved,
-                rates.same_total,
-                rates.same_improved,
-            ) == _ref_group_rates(observations, relay_type)
+            assert tuple(
+                (c.different_total, c.different_improved, c.same_total, c.same_improved)
+                for c in (split, rates)
+            ) == GOLDEN_COUNTRY_SPLIT[relay_type.value]
 
     def test_intercontinental_fraction(self, campaign):
         result, observations = campaign
@@ -209,30 +165,25 @@ class TestObjectPathEquivalence:
         )
 
     def test_ranking_frequency_and_curves(self, campaign):
-        result, observations = campaign
+        result, _ = campaign
         ranking = TopRelayAnalysis(result)
         for relay_type in RELAY_TYPE_ORDER:
-            assert ranking.improvement_frequency(relay_type) == _ref_frequency(
-                observations, relay_type
-            )
-            assert ranking.fig3_curve(relay_type, max_n=25) == _ref_fig3(
-                observations, relay_type, 25
-            )
-            thresholds = [0.0, 5.0, 20.0, 100.0]
-            assert ranking.fig4_curve(relay_type, thresholds) == _ref_fig4(
-                observations, relay_type, thresholds, None
-            )
-            allowed = set(ranking.top_relays(relay_type, 5))
-            assert ranking.fig4_curve(relay_type, thresholds, top_n=5) == _ref_fig4(
-                observations, relay_type, thresholds, allowed
-            )
+            name = relay_type.value
+            frequency = sorted(ranking.improvement_frequency(relay_type).items())
+            assert (
+                _blake(frequency), _blake(ranking.fig3_curve(relay_type, max_n=25))
+            ) == GOLDEN_RANKING[name]
+            assert (
+                ranking.fig4_curve(relay_type, FIG4_THRESHOLDS),
+                ranking.fig4_curve(relay_type, FIG4_THRESHOLDS, top_n=5),
+            ) == GOLDEN_FIG4[name]
 
     def test_voip_fractions(self, campaign):
-        result, observations = campaign
+        result, _ = campaign
         voip = VoipAnalysis(result)
-        direct_ref, relayed_ref = _ref_voip(observations, 320.0, RelayType.COR)
-        assert voip.direct_poor_fraction() == direct_ref
-        assert voip.relayed_poor_fraction(RelayType.COR) == relayed_ref
+        assert (
+            voip.direct_poor_fraction(), voip.relayed_poor_fraction(RelayType.COR)
+        ) == GOLDEN_VOIP
 
     def test_stability_per_round_fractions(self, campaign):
         result, _ = campaign
@@ -311,33 +262,19 @@ class TestSweepTransport:
     def test_per_seed_metrics_match_object_path(self):
         outcome = run_seed_campaign(3, rounds=1, countries=8)
         metrics = outcome["metrics"]
-        # recompute the paper-shape metrics through the frozen object walk
-        from repro.core.campaign import MeasurementCampaign
-        from repro.core.config import CampaignConfig
-        from repro.topology.config import TopologyConfig
-        from repro.world import WorldConfig, build_world
-
-        world = build_world(
-            seed=3, config=WorldConfig(topology=TopologyConfig(country_limit=8))
-        )
-        result = MeasurementCampaign(world, CampaignConfig(num_rounds=1)).run()
-        observations = list(result.observations())
-        assert metrics["total_cases"] == len(observations)
+        assert metrics["total_cases"] == GOLDEN_SEED3_CASES
         for relay_type in RELAY_TYPE_ORDER:
-            values = _ref_best_improvements(observations, relay_type)
             name = relay_type.value
-            assert metrics[f"win_rate_{name}"] == round(
-                len(values) / len(observations), 4
-            )
-            expected = round(median(values), 3) if values else None
-            assert metrics[f"median_rtt_reduction_ms_{name}"] == expected
+            assert (
+                metrics[f"win_rate_{name}"], metrics[f"median_rtt_reduction_ms_{name}"]
+            ) == GOLDEN_SEED3_METRICS[name]
 
     def test_pooled_section_counts_all_cases(self):
-        artifact = run_sweep(
+        result = run_sweep(
             SweepRequest.from_scenario("baseline", seeds=(3, 4), rounds=1, countries=8)
         )
-        assert artifact["pooled"]["total_cases"] == sum(
-            m["total_cases"] for m in artifact["per_seed"]
+        assert result.pooled["total_cases"] == sum(
+            m["total_cases"] for m in result.per_seed
         )
 
 
